@@ -2,8 +2,8 @@
 
 use crate::error::ChaseError;
 use dex_logic::eval::{
-    extend_matches, extend_matches_mode, has_match_mode, match_conjunction_mode, seed_conjunction,
-    unify_with_tuple, MatchMode, Valuation,
+    extend_matches, extend_matches_mode, for_each_match_mode, has_match_mode,
+    match_conjunction_mode, seed_conjunction, unify_with_tuple, MatchMode, Valuation,
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
@@ -453,9 +453,6 @@ fn run_exchange(
     let mut stats = ChaseStats::default();
     let mode = opts.matcher.mode();
     let src_stats_before = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
-    // Index counters from target snapshots discarded by egd
-    // substitution (which rebuilds the instance).
-    let mut lost: (u64, u64) = (0, 0);
 
     // On a budget trip: finalize the stats counters and hand back the
     // prefix instance with the governor's report.
@@ -465,8 +462,8 @@ fn run_exchange(
             stats.rounds = rounds;
             let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
             let (tgt_b, tgt_p) = target.index_stats();
-            stats.index_builds = lost.0 + tgt_b + (src_b - src_stats_before.0);
-            stats.index_probes = lost.1 + tgt_p + (src_p - src_stats_before.1);
+            stats.index_builds = tgt_b + (src_b - src_stats_before.0);
+            stats.index_probes = tgt_p + (src_p - src_stats_before.1);
             return Ok(ChaseOutcome::Exhausted(Exhausted {
                 partial: target,
                 report: gov.report($reason),
@@ -580,7 +577,6 @@ fn run_exchange(
         // firing (and hence null allocation) order is independent of
         // how the matches were enumerated.
         let use_delta = semi_naive && !full_rematch;
-        full_rematch = false;
         let mut pending: Vec<(usize, Valuation)> = Vec::new();
         for (ti, tgd) in mapping.target_tgds().iter().enumerate() {
             // Matching is read-only, so a trip here returns the intact
@@ -625,7 +621,6 @@ fn run_exchange(
         }
         stats.firings_per_round.push(round_firings);
         firings += round_firings;
-        let mut changed = round_firings > 0;
 
         // Target egds: equate values, merging nulls or failing on
         // distinct constants. No budget checks inside this block: egd
@@ -635,17 +630,13 @@ fn run_exchange(
         // deadline overshoot is bounded by one round's egd work.
         let mut round_merged = false;
         for egd in mapping.target_egds() {
-            let (new_target, merges) = chase_one_egd(egd, target, mode, &mut lost)?;
-            target = new_target;
-            if merges > 0 {
-                firings += merges;
-                changed = true;
-                full_rematch = true;
-                round_merged = true;
-            }
+            let merges = chase_one_egd(egd, &mut target, mode)?;
+            firings += merges;
+            round_merged |= merges > 0;
         }
+        full_rematch = round_merged;
 
-        if !changed {
+        if round_firings == 0 && !round_merged {
             // Fixpoint: mark the last committed boundary complete so a
             // durable sink can distinguish "done" from "interrupted".
             checkpoint!(rounds as u64, Some(Vec::new()), true);
@@ -674,8 +665,8 @@ fn run_exchange(
 
     let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
     let (tgt_b, tgt_p) = target.index_stats();
-    stats.index_builds = lost.0 + tgt_b + (src_b - src_stats_before.0);
-    stats.index_probes = lost.1 + tgt_p + (src_p - src_stats_before.1);
+    stats.index_builds = tgt_b + (src_b - src_stats_before.0);
+    stats.index_probes = tgt_p + (src_p - src_stats_before.1);
 
     let nulls_created = count_new_nulls(&nulls_before, &gen);
     Ok(ChaseOutcome::Complete(ExchangeResult {
@@ -819,54 +810,62 @@ fn delta_matches(
     out
 }
 
-/// Chase one egd to its local fixpoint: repeatedly merge a null with
-/// the value it is equated to (one merge at a time, then re-match).
-/// Returns the new instance and the number of merges applied. `lost`
-/// accumulates the index counters of instance snapshots discarded by
-/// substitution.
+/// Chase one egd to its local fixpoint in place: find the first
+/// violating premise match, merge its null with the value it is
+/// equated to, and look again (one merge at a time). Returns the
+/// number of merges applied.
+///
+/// Which match comes first depends only on the instance's facts:
+/// relations enumerate in canonical content order, whatever rows the
+/// merges tombstoned. Merging empties the delta logs, as the old
+/// rebuild did, since deltas cannot express a rewrite: the round
+/// checkpoints in full and the next round re-matches in full.
 fn chase_one_egd(
     egd: &dex_logic::Egd,
-    mut target: Instance,
+    target: &mut Instance,
     mode: MatchMode,
-    lost: &mut (u64, u64),
-) -> Result<(Instance, usize), ChaseError> {
+) -> Result<usize, ChaseError> {
     let mut merges = 0usize;
     loop {
-        let mut subst: BTreeMap<NullId, Value> = BTreeMap::new();
-        'find: for m in match_conjunction_mode(&egd.lhs, &target, mode) {
-            for (a, b) in &egd.equalities {
-                let va = term_value(a, &m, egd)?;
-                let vb = term_value(b, &m, egd)?;
-                if va == vb {
-                    continue;
-                }
-                match (&va, &vb) {
-                    (Value::Null(n), _) => {
-                        subst.insert(*n, vb.clone());
-                    }
-                    (_, Value::Null(n)) => {
-                        subst.insert(*n, va.clone());
-                    }
-                    _ => {
-                        return Err(ChaseError::EgdFailure {
-                            egd: egd.to_string(),
-                            left: va.to_string(),
-                            right: vb.to_string(),
-                        });
-                    }
-                }
-                break 'find; // apply one merge at a time
+        let mut step = Ok(None);
+        for_each_match_mode(&egd.lhs, target, &Valuation::new(), mode, &mut |m| {
+            step = egd_violation(egd, m);
+            !matches!(step, Ok(None))
+        });
+        let Some((null, value)) = step? else {
+            if merges > 0 {
+                target.drain_deltas();
             }
-        }
-        if subst.is_empty() {
-            return Ok((target, merges));
-        }
-        let (b, p) = target.index_stats();
-        lost.0 += b;
-        lost.1 += p;
-        target = target.substitute_nulls(&subst);
+            return Ok(merges);
+        };
+        target.substitute_nulls_in_place(&BTreeMap::from([(null, value)]));
         merges += 1;
     }
+}
+
+/// The merge a premise match forces: the null of the first equality
+/// whose sides differ and the value it must become, `None` when every
+/// equality holds, or the failure when two distinct constants meet.
+fn egd_violation(
+    egd: &dex_logic::Egd,
+    m: &Valuation,
+) -> Result<Option<(NullId, Value)>, ChaseError> {
+    for (a, b) in &egd.equalities {
+        let va = term_value(a, m, egd)?;
+        let vb = term_value(b, m, egd)?;
+        match (va, vb) {
+            (va, vb) if va == vb => {}
+            (Value::Null(n), v) | (v, Value::Null(n)) => return Ok(Some((n, v))),
+            (va, vb) => {
+                return Err(ChaseError::EgdFailure {
+                    egd: egd.to_string(),
+                    left: va.to_string(),
+                    right: vb.to_string(),
+                })
+            }
+        }
+    }
+    Ok(None)
 }
 
 /// Chase a set of egds over an instance to fixpoint (merging nulls;
@@ -947,11 +946,9 @@ pub fn enforce_egds_governed(
     gov: &Governor,
 ) -> Result<EgdOutcome, ChaseError> {
     // The clone starts with zeroed index counters, so the instance's
-    // final counters (plus those lost to substitutions) are exactly
-    // this run's work.
+    // final counters are exactly this run's work.
     let mut target = inst.clone();
     let mut stats = EgdStats::default();
-    let mut lost = (0u64, 0u64);
     macro_rules! exhaust {
         ($reason:expr) => {{
             let (builds, probes) = target.index_stats();
@@ -959,8 +956,8 @@ pub fn enforce_egds_governed(
                 report: gov.report($reason),
                 stats: ChaseStats {
                     rounds: stats.rounds,
-                    index_builds: lost.0 + builds,
-                    index_probes: lost.1 + probes,
+                    index_builds: builds,
+                    index_probes: probes,
                     ..ChaseStats::default()
                 },
                 partial: target,
@@ -973,16 +970,15 @@ pub fn enforce_egds_governed(
             if let Err(reason) = gov.check() {
                 exhaust!(reason);
             }
-            let (next, merges) = chase_one_egd(egd, target, MatchMode::default(), &mut lost)?;
-            target = next;
+            let merges = chase_one_egd(egd, &mut target, MatchMode::default())?;
             stats.merges += merges;
             changed |= merges > 0;
         }
         if !changed {
             stats.rounds += 1;
             let (builds, probes) = target.index_stats();
-            stats.index_builds = lost.0 + builds;
-            stats.index_probes = lost.1 + probes;
+            stats.index_builds = builds;
+            stats.index_probes = probes;
             return Ok(EgdOutcome::Complete {
                 instance: target,
                 stats,

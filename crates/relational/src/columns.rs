@@ -49,9 +49,12 @@ pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
 }
 
 /// Cached canonical permutation of the live ids (version 0 = stale).
+/// `arena` is the arena length the permutation was built at; a reset
+/// cache holds no ids at arena 0, so its refresh is a full sort.
 #[derive(Default)]
 struct OrderCache {
     version: u64,
+    arena: usize,
     ids: Arc<Vec<TupleId>>,
 }
 
@@ -256,6 +259,48 @@ impl ColumnStore {
         self.hashes.clear();
         self.dedup.clear();
         self.version += 1;
+        // Arena ids restart at 0: the cached order must not be merged
+        // into.
+        *self.order.get_mut().unwrap_or_else(|p| p.into_inner()) = OrderCache::default();
+    }
+
+    /// Drop the tombstoned rows from the arena, renumbering the live
+    /// rows in arena order. Returns each old row's new id (`None` for
+    /// dead rows); ids from before are invalid afterwards.
+    pub fn compact(&mut self) -> Vec<Option<TupleId>> {
+        let mut next: TupleId = 0;
+        let remap: Vec<Option<TupleId>> = self
+            .live
+            .iter()
+            .map(|&live| {
+                let id = next;
+                next += TupleId::from(live);
+                live.then_some(id)
+            })
+            .collect();
+        let live = &self.live;
+        let keep_live = |i: &mut usize| {
+            *i += 1;
+            live[*i - 1]
+        };
+        for col in &mut self.columns {
+            let mut i = 0;
+            col.retain(|_| keep_live(&mut i));
+        }
+        let mut i = 0;
+        self.hashes.retain(|_| keep_live(&mut i));
+        // The dedup lists hold live ids only.
+        for id in self.dedup.values_mut().flatten() {
+            if let Some(new) = remap[*id as usize] {
+                *id = new;
+            }
+        }
+        self.rows = next as usize;
+        self.live = vec![true; self.rows];
+        self.dead = 0;
+        self.version += 1;
+        *self.order.get_mut().unwrap_or_else(|p| p.into_inner()) = OrderCache::default();
+        remap
     }
 
     /// Live ids in arena (insertion) order.
@@ -276,12 +321,34 @@ impl ColumnStore {
         }
         let mut cache = self.order.write().unwrap_or_else(|p| p.into_inner());
         if cache.version != self.version {
-            let mut ids: Vec<TupleId> = self.live_ids().collect();
-            ids.sort_unstable_by(|&a, &b| self.row_cmp(a, b));
-            cache.ids = Arc::new(ids);
+            cache.ids = Arc::new(self.refresh_order(&cache.ids, cache.arena));
             cache.version = self.version;
+            cache.arena = self.rows;
         }
         Arc::clone(&cache.ids)
+    }
+
+    /// The canonical order after mutations since `old` was built over
+    /// the first `arena` rows. Rows are never rewritten, only appended
+    /// or tombstoned, so the live part of `old` is still in order:
+    /// drop its dead ids and place the rows appended since, which
+    /// costs a merge instead of a full sort. (Compaction and clear
+    /// renumber the arena, so they reset the cache.)
+    fn refresh_order(&self, old: &[TupleId], arena: usize) -> Vec<TupleId> {
+        let mut fresh: Vec<TupleId> = (arena as TupleId..self.rows as TupleId)
+            .filter(|&id| self.is_live(id))
+            .collect();
+        self.sort_canonical(&mut fresh);
+        let mut out = Vec::with_capacity(self.len());
+        let mut rest = old;
+        for id in fresh {
+            let at = rest.partition_point(|&o| self.row_cmp(o, id) == Ordering::Less);
+            out.extend(rest[..at].iter().copied().filter(|&o| self.is_live(o)));
+            out.push(id);
+            rest = &rest[at..];
+        }
+        out.extend(rest.iter().copied().filter(|&o| self.is_live(o)));
+        out
     }
 
     /// Sort `ids` in place into canonical row order (used by index
@@ -360,6 +427,57 @@ mod tests {
         assert_eq!(&*s.ordered_ids(), &[1, 0], "cache refreshed after push");
         s.remove(&tuple!["a"]);
         assert_eq!(&*s.ordered_ids(), &[0], "cache refreshed after remove");
+    }
+
+    #[test]
+    fn refreshed_order_equals_a_full_sort() {
+        let mut s = ColumnStore::new(2);
+        let mut k = 7u64;
+        for round in 0..40i64 {
+            for _ in 0..5 {
+                k = k
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let t = tuple![(k >> 60) as i64, (k >> 58) as i64 % 3];
+                if s.contains(&t) {
+                    s.remove(&t);
+                } else {
+                    s.push(&t);
+                }
+            }
+            let mut want: Vec<TupleId> = s.live_ids().collect();
+            s.sort_canonical(&mut want);
+            assert_eq!(*s.ordered_ids(), want, "round {round}");
+            if round == 20 {
+                s.clear();
+            }
+            if round == 30 {
+                s.compact();
+            }
+        }
+    }
+
+    #[test]
+    fn compact_renumbers_live_rows_and_keeps_the_set() {
+        let mut s = ColumnStore::new(2);
+        for i in 0..6i64 {
+            s.push(&tuple![i, "x"]);
+        }
+        s.ordered_ids();
+        s.remove(&tuple![1i64, "x"]);
+        s.remove(&tuple![4i64, "x"]);
+        let remap = s.compact();
+        assert_eq!(remap, [Some(0), None, Some(1), Some(2), None, Some(3)]);
+        assert_eq!((s.arena_len(), s.len()), (4, 4));
+        let rows: Vec<Tuple> = s
+            .ordered_ids()
+            .iter()
+            .map(|&id| s.materialize(id))
+            .collect();
+        assert_eq!(rows, [0i64, 2, 3, 5].map(|i| tuple![i, "x"]));
+        assert_eq!(s.find(&tuple![5i64, "x"]), Some(3), "dedup renumbered");
+        assert_eq!(s.push(&tuple![5i64, "x"]), None);
+        assert_eq!(s.push(&tuple![1i64, "x"]), Some(4));
     }
 
     #[test]

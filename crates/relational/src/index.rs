@@ -12,9 +12,10 @@
 //!   index warm incrementally (the new arena row is folded into
 //!   existing postings on the next probe via the `synced` watermark),
 //!   so the chase's insert–probe–insert loop costs O(1) amortized per
-//!   tuple instead of a full rebuild per insertion. Destructive
-//!   mutations (remove, retain, clear) invalidate wholesale through the
-//!   store's version counter.
+//!   tuple instead of a full rebuild per insertion. An in-place null
+//!   substitution drops the rows it rewrites from the postings the
+//!   same way; other destructive mutations (remove, retain, clear)
+//!   invalidate wholesale through the store's version counter.
 //!
 //! * [`TupleIndex`] — a standalone, eagerly maintained index from a
 //!   key projection to the set of full tuples with that key. This is
@@ -40,7 +41,7 @@
 use crate::columns::ColumnStore;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -147,6 +148,52 @@ impl IndexState {
         if built.version + 1 == version_after {
             built.version = version_after;
         }
+    }
+
+    /// Keep a built index warm across the tombstoning of the rows
+    /// `dead` (ascending ids): if the postings were current at
+    /// `version_before`, drop those ids from them (dead rows' values
+    /// stay readable) and mark them current. Each posting the batch
+    /// touches is filtered once.
+    pub(crate) fn note_removals(
+        &mut self,
+        store: &ColumnStore,
+        version_before: u64,
+        dead: &[TupleId],
+    ) {
+        let built = self.built.get_mut().unwrap_or_else(|p| p.into_inner());
+        if built.version != version_before {
+            return;
+        }
+        built.version = store.version();
+        // Rows past the watermark are not folded in yet, and the fold
+        // skips dead rows.
+        let folded = &dead[..dead.partition_point(|&id| (id as usize) < built.synced)];
+        for (&pos, map) in &mut built.by_pos {
+            let values: HashSet<&Value> = folded.iter().map(|&id| store.value(id, pos)).collect();
+            for value in values {
+                if let Some(ids) = map.get_mut(value) {
+                    ids.retain(|i| folded.binary_search(i).is_err());
+                    if ids.is_empty() {
+                        map.remove(value);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Follow a store compaction (`remap` maps old ids to new, `None`
+    /// for dropped rows): the delta log keeps its live rows under their
+    /// new ids. The postings need nothing here, since the compaction
+    /// bumped the store version and the next probe rebuilds them.
+    pub(crate) fn remap_delta(&mut self, remap: &[Option<TupleId>]) {
+        self.delta.retain_mut(|id| match remap[*id as usize] {
+            Some(new) => {
+                *id = new;
+                true
+            }
+            None => false,
+        });
     }
 
     pub(crate) fn log_delta(&mut self, id: TupleId) {

@@ -233,6 +233,18 @@ impl Instance {
         }
     }
 
+    /// [`substitute_nulls`](Instance::substitute_nulls) in place: the
+    /// same facts, but only the rows that mention a substituted null
+    /// are rewritten, and index counters carry on. The delta logs are
+    /// left alone (a rewritten row may stay listed, or be dropped by a
+    /// compaction): a caller that needs the rebuild's empty logs
+    /// drains them.
+    pub fn substitute_nulls_in_place(&mut self, subst: &BTreeMap<NullId, Value>) {
+        for r in self.relations.values_mut() {
+            r.substitute_nulls_in_place(subst);
+        }
+    }
+
     /// All FD violations across all relations.
     pub fn fd_violations(&self) -> Vec<(Name, FdViolation)> {
         self.relations
@@ -438,6 +450,36 @@ mod tests {
         let j = i.substitute_nulls(&s);
         assert!(j.contains("Manager", &tuple!["Alice", "Ted"]));
         assert!(j.is_ground());
+    }
+
+    #[test]
+    fn in_place_substitution_equals_the_rebuild() {
+        let row = |a: &str, n: u64| Tuple::new(vec![Value::str(a), Value::null(n)]);
+        let mut i = Instance::empty(mgr_schema());
+        for t in [row("Alice", 0), row("Bob", 1), row("Carol", 0)] {
+            i.insert_delta("Manager", t).unwrap();
+        }
+        i.insert("Manager", tuple!["Alice", "Ted"]).unwrap();
+        // Warm the index on both positions first, so the in-place path
+        // has postings to keep current.
+        let rel = i.relation("Manager").unwrap();
+        assert_eq!(rel.probe_ids(1, &Value::null(0)).len(), 2);
+        assert_eq!(rel.probe_ids(0, &Value::str("Alice")).len(), 2);
+        let builds = rel.index_stats().0;
+        let s = BTreeMap::from([(NullId(0), Value::str("Ted"))]);
+        let want = i.substitute_nulls(&s);
+        i.substitute_nulls_in_place(&s);
+        assert_eq!(i, want);
+        assert_eq!(i.fact_count(), 3, "(Alice, Ted) merged with its image");
+        let rel = i.relation("Manager").unwrap();
+        assert!(rel.probe_ids(1, &Value::null(0)).is_empty());
+        assert_eq!(rel.index_stats().0, builds, "postings stayed warm");
+        let teds: Vec<Tuple> = rel
+            .probe_ids(1, &Value::str("Ted"))
+            .into_iter()
+            .map(|id| rel.tuple_at(id))
+            .collect();
+        assert_eq!(teds, [tuple!["Alice", "Ted"], tuple!["Carol", "Ted"]]);
     }
 
     #[test]

@@ -29,9 +29,10 @@ use std::sync::Arc;
 /// postings) plus the delta log backing
 /// [`insert_delta`](Relation::insert_delta). The index state is pure
 /// cache: it is skipped by serialization, ignored by `PartialEq`, kept
-/// warm incrementally across inserts, and invalidated by destructive
-/// mutations, so observable behavior (iteration order, serialization,
-/// equality) is exactly that of a plain ordered tuple set.
+/// warm incrementally across inserts and in-place null substitutions,
+/// and invalidated by other destructive mutations, so observable
+/// behavior (iteration order, serialization, equality) is exactly that
+/// of a plain ordered tuple set.
 #[derive(Clone, Debug)]
 pub struct Relation {
     schema: RelSchema,
@@ -57,6 +58,15 @@ impl PartialEq for Relation {
 }
 
 impl Eq for Relation {}
+
+/// Does `v` mention a null that `subst` replaces?
+fn mentions(v: &Value, subst: &BTreeMap<NullId, Value>) -> bool {
+    match v {
+        Value::Const(_) => false,
+        Value::Null(n) => subst.contains_key(n),
+        Value::Skolem(_, args) => args.iter().any(|a| mentions(a, subst)),
+    }
+}
 
 /// Serialization image of a relation: schema plus tuples in canonical
 /// order. Field-compatible with the pre-columnar on-disk format (which
@@ -390,6 +400,40 @@ impl Relation {
         out
     }
 
+    /// [`substitute_nulls`](Relation::substitute_nulls) in place:
+    /// rewrite only the rows that mention a substituted null (rows may
+    /// merge), leaving the same tuple set. A rewrite tombstones the old
+    /// row, so once dead rows outnumber live ones the arena is
+    /// compacted: a chain of merges that rewrites one growing class of
+    /// rows keeps memory linear in the live rows.
+    pub(crate) fn substitute_nulls_in_place(&mut self, subst: &BTreeMap<NullId, Value>) {
+        let hit: Vec<TupleId> = self
+            .store
+            .live_ids()
+            .filter(|&id| {
+                (0..self.schema.arity()).any(|col| mentions(self.store.value(id, col), subst))
+            })
+            .collect();
+        let images: Vec<Tuple> = hit
+            .iter()
+            .map(|&id| self.store.materialize(id).substitute_nulls(subst))
+            .collect();
+        let version_before = self.store.version();
+        for &id in &hit {
+            self.store.tombstone(id);
+        }
+        self.index.note_removals(&self.store, version_before, &hit);
+        for t in &images {
+            if self.store.push(t).is_some() {
+                self.index.note_append(self.store.version());
+            }
+        }
+        if self.store.arena_len() > 2 * self.store.len() {
+            let remap = self.store.compact();
+            self.index.remap_delta(&remap);
+        }
+    }
+
     /// Check the relation's declared FDs, reporting every violating pair.
     ///
     /// Null semantics: two values agree only if they are identical (a
@@ -515,6 +559,49 @@ mod tests {
 
     fn emp_schema() -> RelSchema {
         RelSchema::untyped("Emp", vec!["name"]).unwrap()
+    }
+
+    #[test]
+    fn merge_chain_keeps_the_arena_linear() {
+        // D(m, i) with one null per i; merging n0 into n1, n1 into n2,
+        // ... rewrites the whole growing class each time.
+        let k = 200u64;
+        let mut r = Relation::empty(RelSchema::untyped("D", vec!["m", "i"]).unwrap());
+        for i in 0..k {
+            r.insert_delta(Tuple::new(vec![Value::null(i), Value::int(i as i64)]))
+                .unwrap();
+        }
+        let mut want = r.clone();
+        let mut rewritten = 0;
+        for j in 0..k - 1 {
+            assert!(!r.probe_ids(0, &Value::null(j)).is_empty(), "warm index");
+            let s = BTreeMap::from([(NullId(j), Value::null(j + 1))]);
+            rewritten += r.probe_ids(0, &Value::null(j)).len();
+            r.substitute_nulls_in_place(&s);
+            want = want.substitute_nulls(&s);
+            assert!(r.store.arena_len() <= 2 * r.len(), "merge {j}");
+        }
+        assert!(
+            rewritten > 10 * k as usize,
+            "the chain rewrites O(k^2) rows"
+        );
+        assert_eq!(r, want);
+        assert_eq!(r.probe_ids(0, &Value::null(k - 1)).len(), k as usize);
+    }
+
+    #[test]
+    fn compaction_renumbers_the_delta_log() {
+        let mut r = Relation::empty(RelSchema::untyped("D", vec!["m", "i"]).unwrap());
+        for n in 0..4 {
+            r.insert(Tuple::new(vec![Value::null(n), Value::int(1)]))
+                .unwrap();
+        }
+        r.insert_delta(tuple!["b", 2i64]).unwrap();
+        let s = (0..4).map(|n| (NullId(n), Value::str("a"))).collect();
+        r.substitute_nulls_in_place(&s);
+        assert_eq!(r.store.arena_len(), 2, "compacted to the live rows");
+        assert_eq!(r.drain_delta(), [tuple!["b", 2i64]]);
+        assert_eq!(r.tuples(), [tuple!["a", 1i64], tuple!["b", 2i64]].into());
     }
 
     #[test]

@@ -1,23 +1,16 @@
 //! End-to-end tests of the `dexcli` binary.
 
-use std::io::Write;
+mod common;
+
+use common::TempDir;
 use std::process::Command;
 
 fn dexcli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dexcli"))
 }
 
-fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dexcli-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(content.as_bytes()).unwrap();
-    path
-}
-
-fn emp_mapping_file() -> std::path::PathBuf {
-    write_tmp(
+fn emp_mapping_file(dir: &TempDir) -> std::path::PathBuf {
+    dir.write(
         "emp.dex",
         r#"
         source Emp(name);
@@ -46,7 +39,8 @@ fn unknown_command_fails() {
 
 #[test]
 fn plan_shows_holes() {
-    let m = emp_mapping_file();
+    let dir = TempDir::new("plan_shows_holes");
+    let m = emp_mapping_file(&dir);
     let out = dexcli().arg("plan").arg(&m).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
@@ -56,8 +50,9 @@ fn plan_shows_holes() {
 
 #[test]
 fn chase_and_exchange_agree_on_shape() {
-    let m = emp_mapping_file();
-    let src = write_tmp("src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
+    let dir = TempDir::new("chase_and_exchange_agree_on_shape");
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
     for cmd in ["chase", "exchange"] {
         let out = dexcli().arg(cmd).arg(&m).arg(&src).output().unwrap();
         assert!(out.status.success(), "{cmd} failed");
@@ -73,9 +68,10 @@ fn chase_and_exchange_agree_on_shape() {
 
 #[test]
 fn backward_propagates_edit() {
-    let m = emp_mapping_file();
-    let src = write_tmp("src2.json", r#"{"Emp": [["Alice"]]}"#);
-    let tgt = write_tmp(
+    let dir = TempDir::new("backward_propagates_edit");
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("src2.json", r#"{"Emp": [["Alice"]]}"#);
+    let tgt = dir.write(
         "tgt2.json",
         r#"{"Manager": [["Alice", {"null": 0}], ["Carol", "Ted"]]}"#,
     );
@@ -104,8 +100,9 @@ fn backward_propagates_edit() {
 
 #[test]
 fn compose_prints_second_order_result() {
-    let m1 = emp_mapping_file();
-    let m2 = write_tmp(
+    let dir = TempDir::new("compose_prints_second_order_result");
+    let m1 = emp_mapping_file(&dir);
+    let m2 = dir.write(
         "m2.dex",
         r#"
         source Manager(emp, mgr);
@@ -125,7 +122,8 @@ fn compose_prints_second_order_result() {
 
 #[test]
 fn recover_prints_disjunction() {
-    let m = write_tmp(
+    let dir = TempDir::new("recover_prints_disjunction");
+    let m = dir.write(
         "parents.dex",
         r#"
         source Father(p, c);
@@ -143,8 +141,9 @@ fn recover_prints_disjunction() {
 
 #[test]
 fn query_certain_answers() {
-    let m = emp_mapping_file();
-    let src = write_tmp("srcq.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
+    let dir = TempDir::new("query_certain_answers");
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("srcq.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
     let out = dexcli()
         .arg("query")
         .arg(&m)
@@ -182,10 +181,11 @@ fn query_certain_answers() {
 
 #[test]
 fn deny_cost_refuses_expensive_and_non_terminating_runs() {
+    let dir = TempDir::new("deny_cost_refuses_expensive_and_non_terminating_runs");
     // A mapping under threshold runs; over threshold is refused with
     // exit 2 (like lint) before any chase work happens.
-    let m = emp_mapping_file();
-    let src = write_tmp("cost_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("cost_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
     for cmd in ["chase", "exchange"] {
         let ok = dexcli()
             .args([cmd, m.to_str().unwrap(), src.to_str().unwrap()])
@@ -208,12 +208,12 @@ fn deny_cost_refuses_expensive_and_non_terminating_runs() {
     }
     // Non-jointly-acyclic mappings predict unbounded cost and are
     // refused at *any* threshold.
-    let bad = write_tmp(
+    let bad = dir.write(
         "cost_bad.dex",
         "source Emp(name, mgr);\ntarget Succ(emp, mgr);\n\
          Emp(x, y) -> Succ(x, y);\nSucc(x, y) -> Succ(y, z);",
     );
-    let bad_src = write_tmp("cost_bad_src.json", r#"{"Emp": [["a", "b"]]}"#);
+    let bad_src = dir.write("cost_bad_src.json", r#"{"Emp": [["a", "b"]]}"#);
     let out = dexcli()
         .args(["chase", bad.to_str().unwrap(), bad_src.to_str().unwrap()])
         .args(["--deny-cost", &u64::MAX.to_string()])
@@ -226,11 +226,12 @@ fn deny_cost_refuses_expensive_and_non_terminating_runs() {
 
 #[test]
 fn auto_budget_synthesized_caps_never_trip() {
+    let dir = TempDir::new("auto_budget_synthesized_caps_never_trip");
     // --auto-budget turns the predicted bounds into governor caps; on
     // an admitted (weakly acyclic) mapping they must never trip, so the
     // output matches the unbudgeted run exactly.
-    let m = emp_mapping_file();
-    let src = write_tmp("auto_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("auto_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
     for cmd in ["chase", "exchange"] {
         let plain = dexcli()
             .args([cmd, m.to_str().unwrap(), src.to_str().unwrap()])
@@ -257,8 +258,9 @@ fn auto_budget_synthesized_caps_never_trip() {
 
 #[test]
 fn exchange_stats_json_reports_predicted_bounds() {
-    let m = emp_mapping_file();
-    let src = write_tmp("pred_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
+    let dir = TempDir::new("exchange_stats_json_reports_predicted_bounds");
+    let m = emp_mapping_file(&dir);
+    let src = dir.write("pred_src.json", r#"{"Emp": [["Alice"], ["Bob"]]}"#);
     for cmd in ["chase", "exchange"] {
         let out = dexcli()
             .args([cmd, m.to_str().unwrap(), src.to_str().unwrap()])
@@ -281,8 +283,9 @@ fn exchange_stats_json_reports_predicted_bounds() {
 
 #[test]
 fn bad_instance_reports_error() {
-    let m = emp_mapping_file();
-    let bad = write_tmp("bad.json", r#"{"Nope": [["x"]]}"#);
+    let dir = TempDir::new("bad_instance_reports_error");
+    let m = emp_mapping_file(&dir);
+    let bad = dir.write("bad.json", r#"{"Nope": [["x"]]}"#);
     let out = dexcli().arg("chase").arg(&m).arg(&bad).output().unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();

@@ -3,6 +3,9 @@
 //! --check` — exit codes, witnesses, and the fix-until-fixpoint loop,
 //! driven through the real binary like a user would.
 
+mod common;
+
+use common::TempDir;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -93,8 +96,8 @@ fn optimize_emits_a_smaller_equivalent_mapping() {
     assert!(err.contains("verified"), "{err}");
     // The optimizer's stdout is itself a valid mapping, equivalent to
     // the original — check through `eq` like a skeptical user would.
-    let tmp = std::env::temp_dir().join("dexcli_optimize_roundtrip.dex");
-    std::fs::write(&tmp, stdout.as_bytes()).unwrap();
+    let dir = TempDir::new("optimize_roundtrip");
+    let tmp = dir.write("optimized.dex", stdout.as_bytes());
     let eq = dexcli(&["eq", &fixture("redundant_subsumed"), tmp.to_str().unwrap()]);
     assert_eq!(eq.status.code(), Some(0), "{eq:?}");
 }
@@ -127,14 +130,11 @@ fn optimize_on_minimal_mapping_is_identity() {
 
 #[test]
 fn lint_fix_applies_rewrites_and_reaches_a_fixpoint() {
-    let dir = std::env::temp_dir().join("dexcli_lint_fix_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("subsumed.dex");
-    std::fs::write(
-        &path,
+    let dir = TempDir::new("lint_fix");
+    let path = dir.write(
+        "subsumed.dex",
         std::fs::read_to_string(root().join(fixture("redundant_subsumed"))).unwrap(),
-    )
-    .unwrap();
+    );
     let p = path.to_str().unwrap();
 
     let first = dexcli(&["lint", "--fix", p]);
@@ -163,20 +163,15 @@ fn lint_fix_applies_rewrites_and_reaches_a_fixpoint() {
 
 #[test]
 fn compose_check_passes_on_a_faithful_composition() {
-    let dir = std::env::temp_dir().join("dexcli_compose_check_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let c1 = dir.join("c1.dex");
-    let c2 = dir.join("c2.dex");
-    std::fs::write(
-        &c1,
+    let dir = TempDir::new("compose_check");
+    let c1 = dir.write(
+        "c1.dex",
         "source Emp(name, dept);\ntarget Mid(name, dept);\nEmp(x, d) -> Mid(x, d);\n",
-    )
-    .unwrap();
-    std::fs::write(
-        &c2,
+    );
+    let c2 = dir.write(
+        "c2.dex",
         "source Mid(name, dept);\ntarget Out(name);\nMid(x, d) -> Out(x);\n",
-    )
-    .unwrap();
+    );
     let out = dexcli(&[
         "compose",
         c1.to_str().unwrap(),
@@ -190,20 +185,15 @@ fn compose_check_passes_on_a_faithful_composition() {
 
 #[test]
 fn compose_check_skips_second_order_compositions() {
-    let dir = std::env::temp_dir().join("dexcli_compose_so_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let c1 = dir.join("so1.dex");
-    let c2 = dir.join("so2.dex");
-    std::fs::write(
-        &c1,
+    let dir = TempDir::new("compose_so");
+    let c1 = dir.write(
+        "so1.dex",
         "source Emp(name);\ntarget Manager(emp, mgr);\nEmp(x) -> Manager(x, y);\n",
-    )
-    .unwrap();
-    std::fs::write(
-        &c2,
+    );
+    let c2 = dir.write(
+        "so2.dex",
         "source Manager(emp, mgr);\ntarget SelfMngr(emp);\nManager(x, x) -> SelfMngr(x);\n",
-    )
-    .unwrap();
+    );
     let out = dexcli(&[
         "compose",
         c1.to_str().unwrap(),
