@@ -7,8 +7,8 @@ use dex_logic::eval::{
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
-    hash_values, ExhaustionReport, Governor, Instance, Name, NullGen, NullId, RelationalError,
-    TripReason, Tuple, Value,
+    hash_values, Budget, ExhaustionReport, Governor, Instance, Name, NullGen, NullId,
+    RelationalError, TripReason, Tuple, Value,
 };
 use serde::{Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,18 +51,18 @@ impl Matcher {
     }
 }
 
-/// Chase configuration.
+/// The committed-round ceiling for runs nobody budgeted: the
+/// unbudgeted conveniences [`exchange`] and [`exchange_with`] apply it,
+/// and so does any front end whose effective [`Budget`] caps nothing.
+/// Without it a chase of a divergent mapping never returns.
+pub const DEFAULT_MAX_ROUNDS: u64 = 10_000;
+
+/// Chase configuration. Round caps are not a chase option: they belong
+/// to the [`Governor`]'s [`Budget`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChaseOptions {
     /// Source-to-target variant.
     pub variant: ChaseVariant,
-    /// Maximum number of rule-firing rounds for the *target* chase
-    /// (guards non-terminating target tgds).
-    pub max_rounds: usize,
-    /// Match the st-tgd premises in parallel (one task per tgd). Pays
-    /// off for mappings with several expensive premises; firing stays
-    /// sequential and deterministic either way.
-    pub parallel: bool,
     /// Matching strategy (indexed semi-naive vs full-scan oracle).
     pub matcher: Matcher,
     /// Worker threads for sharded premise matching. `1` (the default)
@@ -82,8 +82,6 @@ impl Default for ChaseOptions {
     fn default() -> Self {
         ChaseOptions {
             variant: ChaseVariant::Standard,
-            max_rounds: 10_000,
-            parallel: false,
             matcher: Matcher::default(),
             threads: default_threads(),
         }
@@ -327,7 +325,9 @@ pub fn exchange(mapping: &Mapping, src: &Instance) -> Result<ExchangeResult, Cha
     exchange_with(mapping, src, ChaseOptions::default())
 }
 
-/// Materialize with explicit options.
+/// Materialize with explicit options, stopping after
+/// [`DEFAULT_MAX_ROUNDS`] committed target rounds
+/// ([`ChaseError::Exhausted`] past that).
 ///
 /// Both matchers produce the identical result. The target chase runs
 /// in *rounds*: every round matches all target tgds against the
@@ -344,7 +344,8 @@ pub fn exchange_with(
     src: &Instance,
     opts: ChaseOptions,
 ) -> Result<ExchangeResult, ChaseError> {
-    exchange_governed(mapping, src, opts, &Governor::unlimited())?.into_result()
+    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+    exchange_governed(mapping, src, opts, &gov)?.into_result()
 }
 
 /// Materialize under a resource budget and/or a cancellation token.
@@ -355,9 +356,7 @@ pub fn exchange_with(
 /// firings, and at committed round boundaries. On a trip it returns
 /// [`ChaseOutcome::Exhausted`] carrying a valid chase-prefix instance
 /// (see [`Exhausted`] for the atomicity argument) instead of an error.
-///
-/// `opts.max_rounds` is enforced in addition to any round cap in the
-/// governor's budget, with the same semantics either way.
+/// The governor's budget is the only round cap.
 pub fn exchange_governed(
     mapping: &Mapping,
     src: &Instance,
@@ -394,9 +393,8 @@ pub fn exchange_checkpointed(
 /// same obligations in the same order as the uninterrupted run — so
 /// the final instance is literally identical, nulls included.
 ///
-/// `state.rounds` is preloaded into `gov` and into the `max_rounds`
-/// accounting: round caps bound *total* rounds across the original and
-/// resumed runs. Stats and the exhaustion report likewise count total
+/// `state.rounds` is preloaded into `gov`: round caps bound *total*
+/// rounds across the original and resumed runs. Stats and the exhaustion report likewise count total
 /// rounds, but firings/index counters cover only the resumed process.
 pub fn resume_exchange(
     mapping: &Mapping,
@@ -493,49 +491,27 @@ fn run_exchange(
     // Phase 1: source-to-target (skipped when resuming — its output is
     // already folded into the restored target). The lhs only mentions
     // source relations, so a single pass over all (tgd, match) pairs
-    // suffices. Matching is read-only over the source, so it can fan
-    // out across tgds; firing is kept sequential for determinism.
+    // suffices. With several threads each tgd's premise matching
+    // shards across them; the seed-order merge inside
+    // `match_conjunction_sharded` reproduces the sequential enumeration
+    // exactly, so the firing (and null) order below is
+    // thread-count-invariant. One thread matches directly: the sharded
+    // matcher would first build, and throw away, a seed per source row.
     let nthreads = opts.effective_threads();
     if let Some(src) = src_opt {
-        // `crossbeam::scope` / `join` only err when a worker panicked;
-        // re-raising that panic is the contract — matching has no
-        // partial-result recovery at this level.
-        #[allow(clippy::expect_used)]
-        let all_matches: Vec<(usize, Vec<Valuation>)> = if nthreads > 1 {
-            // Shard each tgd's premise matching across worker threads.
-            // The seed-order merge inside `match_conjunction_sharded`
-            // reproduces the sequential enumeration exactly, so the
-            // firing (and null) order below is thread-count-invariant.
-            mapping
-                .st_tgds()
-                .iter()
-                .enumerate()
-                .map(|(i, tgd)| (i, match_conjunction_sharded(&tgd.lhs, src, mode, nthreads)))
-                .collect()
-        } else if opts.parallel && mapping.st_tgds().len() > 1 {
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = mapping
-                    .st_tgds()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, tgd)| {
-                        scope.spawn(move |_| (i, match_conjunction_mode(&tgd.lhs, src, mode)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chase match thread panicked"))
-                    .collect()
+        let all_matches: Vec<(usize, Vec<Valuation>)> = mapping
+            .st_tgds()
+            .iter()
+            .enumerate()
+            .map(|(i, tgd)| {
+                let matches = if nthreads > 1 {
+                    match_conjunction_sharded(&tgd.lhs, src, mode, nthreads)
+                } else {
+                    match_conjunction_mode(&tgd.lhs, src, mode)
+                };
+                (i, matches)
             })
-            .expect("chase match threads panicked")
-        } else {
-            mapping
-                .st_tgds()
-                .iter()
-                .enumerate()
-                .map(|(i, tgd)| (i, match_conjunction_mode(&tgd.lhs, src, mode)))
-                .collect()
-        };
+            .collect();
         for (i, matches) in all_matches {
             let tgd = &mapping.st_tgds()[i];
             let rhs_vars: BTreeSet<Name> = tgd.rhs_vars().into_iter().collect();
@@ -654,7 +630,7 @@ fn run_exchange(
             Some(target.peek_deltas())
         };
         checkpoint!(rounds as u64, cp_delta, false);
-        if rounds > opts.max_rounds || gov.round_limit_hit() {
+        if gov.round_limit_hit() {
             exhaust!(TripReason::Rounds, target);
         }
         if let Err(reason) = gov.check() {
@@ -1377,16 +1353,19 @@ mod tests {
         .unwrap();
         let src = Instance::with_facts(m.source().clone(), vec![("R", vec![tuple!["v"]])]).unwrap();
         for matcher in [Matcher::Indexed, Matcher::Scan] {
-            let err = exchange_with(
+            let gov = Governor::new(Budget::unlimited().with_max_rounds(25));
+            let err = exchange_governed(
                 &m,
                 &src,
                 ChaseOptions {
                     variant: ChaseVariant::Standard,
-                    max_rounds: 25,
                     matcher,
                     ..Default::default()
                 },
+                &gov,
             )
+            .unwrap()
+            .into_result()
             .unwrap_err();
             // The round limit no longer discards the work: the error
             // carries the partial prefix and a consumption report.
@@ -1412,51 +1391,6 @@ mod tests {
             t.collect_nulls(&mut nulls);
         }
         assert_eq!(nulls.len(), 2, "source null + one fresh manager null");
-    }
-
-    #[test]
-    fn parallel_matching_agrees_with_sequential() {
-        let m = parse_mapping(
-            r#"
-            source Father(p, c);
-            source Mother(p, c);
-            target Parent(p, c);
-            target Child(c);
-            Father(x, y) -> Parent(x, y);
-            Mother(x, y) -> Parent(x, y);
-            Father(x, y) -> Child(y);
-            Mother(x, y) -> Child(y);
-            "#,
-        )
-        .unwrap();
-        let mut src = Instance::empty(m.source().clone());
-        for i in 0..20i64 {
-            src.insert(
-                "Father",
-                tuple![format!("f{i}").as_str(), format!("c{i}").as_str()],
-            )
-            .unwrap();
-            src.insert(
-                "Mother",
-                tuple![format!("m{i}").as_str(), format!("d{i}").as_str()],
-            )
-            .unwrap();
-        }
-        let seq = exchange_with(&m, &src, ChaseOptions::default()).unwrap();
-        for matcher in [Matcher::Indexed, Matcher::Scan] {
-            let par = exchange_with(
-                &m,
-                &src,
-                ChaseOptions {
-                    parallel: true,
-                    matcher,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.target, par.target, "parallel matching is deterministic");
-            assert_eq!(seq.firings, par.firings);
-        }
     }
 
     /// The acceptance property of the refactor: the indexed semi-naive
@@ -1709,16 +1643,6 @@ mod tests {
         assert_eq!(replay.report.reason, TripReason::Rounds);
         assert_eq!(replay.report.rounds_committed, r);
         assert_eq!(replay.partial, e.partial, "same committed boundary");
-
-        // And the legacy options-based round limit agrees too.
-        let opts = ChaseOptions {
-            max_rounds: (r - 1) as usize,
-            ..Default::default()
-        };
-        match exchange_with(&m, &src, opts).unwrap_err() {
-            ChaseError::Exhausted(legacy) => assert_eq!(legacy.partial, e.partial),
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
     }
 
     /// A phase-1 trip hands back a strict prefix of the full phase-1

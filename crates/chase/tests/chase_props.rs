@@ -228,14 +228,12 @@ proptest! {
                         variant,
                         matcher,
                         threads: 1,
-                        ..Default::default()
                     }).unwrap();
                     for threads in [2usize, 3, 8] {
                         let par = exchange_with(&m, &src, ChaseOptions {
                             variant,
                             matcher,
                             threads,
-                            ..Default::default()
                         }).unwrap();
                         prop_assert_eq!(
                             &seq.target, &par.target,

@@ -15,7 +15,8 @@
 //!    the configured ceiling (DEX502-style) → 422 *before a single
 //!    tuple is chased*;
 //! 6. **budget** — server defaults ∩ request overrides ∩ synthesized
-//!    `Budget::from_bounds` caps, plus the server's drain
+//!    `Budget::from_bounds` caps (the shared [`crate::pipeline`]
+//!    rule), plus the server's drain
 //!    [`CancelToken`](dex_relational::CancelToken): exhaustion
 //!    mid-run returns a typed partial
 //!    result (206 + `ExhaustionReport`), not an error;
@@ -25,38 +26,18 @@
 use crate::catalog::CatalogEntry;
 use crate::http::{Request, Response};
 use crate::json::{instance_from_json, instance_to_json};
+use crate::pipeline::{self, MigrateRefusal, Refused};
 use crate::server::ServerCtx;
-use dex_analyze::{analyze_with, chase_bounds, explain_with, has_errors, sort_diagnostics};
-use dex_chase::{exchange_checkpointed, exchange_governed, ChaseOptions, ChaseOutcome, Governor};
+use dex_analyze::{analyze_with, explain_with, has_errors, sort_diagnostics};
+use dex_chase::{ChaseOutcome, Governor};
 use dex_core::EngineForward;
-use dex_evolution::{
-    compile_migration, diff, prefix_instance, render_mapping_dex, render_schema_dex,
-    Catalog as EvCatalog,
-};
-use dex_logic::{parse_mapping, Mapping};
+use dex_logic::Mapping;
 use dex_relational::budget_args::BudgetArgs;
 use dex_relational::{fail, Budget, Instance, SourceStats};
 use dex_store::migrate::{self as store_migrate, MigrateStatus};
-use dex_store::{
-    MigratePlan, MigrateRun, Migration, Store, StoreError, StoreMode, StoreOptions, StoreSink,
-};
+use dex_store::{MigrateRun, Migration, Store, StoreMode, StoreOptions};
 use serde_json::{json, Map, Value as Json};
 use std::sync::Arc;
-
-/// Safety factor for synthesized admission budgets, mirroring the
-/// CLI's `--auto-budget` (see `dexcli`): the static bounds are sound
-/// over-approximations, so any factor ≥ 1 never trips an admitted
-/// mapping; 2 is headroom against accounting drift.
-const AUTO_BUDGET_SAFETY: u64 = 2;
-
-/// Rounds ceiling applied when the effective budget ends up with no
-/// cap on *any* axis (unlimited server default, no request overrides,
-/// static bounds unbounded because the mapping is not weakly acyclic).
-/// Without it a single chase against a divergent mapping pins a worker
-/// forever — uncancellable short of shutting the daemon down. Matches
-/// the historical `ChaseOptions` default, and routes through the
-/// governor so tripping it yields a typed 206 partial, not an error.
-const FALLBACK_MAX_ROUNDS: u64 = 10_000;
 
 /// Route one parsed request to its handler. Never panics outward —
 /// the caller still wraps dispatch in the per-request panic barrier,
@@ -369,59 +350,47 @@ fn explain_op(entry: &CatalogEntry) -> Response {
     Response::json(200, Json::Object(body))
 }
 
-/// Parse the `budget` override object, admit against the static cost
-/// bounds, and derive the effective request budget:
-/// `server default ∩ request overrides ∩ from_bounds(bounds) × safety`.
-/// `Err` is the refusal response (400 bad override / 422 admission).
-fn admit(
+/// Admit a run of the entry's mapping over `src` under the body's
+/// `budget` overrides through the shared [`pipeline`]. `Err` is the
+/// refusal response (400 bad override / 422 admission).
+fn request_budget(
     entry: &CatalogEntry,
-    mapping: &Mapping,
     src: &Instance,
     body: &Json,
     ctx: &ServerCtx,
 ) -> Result<Budget, Response> {
-    let args = budget_overrides(body)?;
-    let stats = SourceStats::measure(src);
-    let bounds = chase_bounds(mapping, &stats);
-    if let Some(threshold) = ctx.config.deny_cost {
-        let headline = bounds.headline();
-        if headline.exceeds(threshold) {
-            ctx.stats.note_refused();
-            let mut resp = envelope(entry, "admission");
-            resp.insert(
-                "error".into(),
-                json!({
-                    "kind": "admission_refused",
-                    "message": format!(
-                        "DEX502: predicted chase cost {headline} exceeds the server's \
-                         deny-cost ceiling {threshold}; refusing before chasing"
-                    ),
-                }),
-            );
-            resp.insert(
-                "predicted".into(),
-                serde_json::to_value(&bounds).unwrap_or(Json::Null),
-            );
-            return Err(Response::json(422, Json::Object(resp)));
-        }
+    let requested = budget_overrides(body)?;
+    match ctx.config.policy().admit(&entry.mapping, src, requested) {
+        Ok(admitted) => Ok(admitted.budget),
+        Err(refused) => Err(admission_refused(entry, &refused, ctx)),
     }
-    let mut budget = ctx.config.default_budget.intersect(args.budget());
-    if ctx.config.auto_budget {
-        budget = budget.intersect(Budget::from_bounds(&bounds, AUTO_BUDGET_SAFETY));
-    }
-    let uncapped = budget.deadline.is_none()
-        && budget.max_rounds.is_none()
-        && budget.max_tuples.is_none()
-        && budget.max_nulls.is_none()
-        && budget.max_memory_bytes.is_none();
-    if uncapped {
-        budget = budget.with_max_rounds(FALLBACK_MAX_ROUNDS);
-    }
-    Ok(budget)
+}
+
+/// The 422 answer to a DEX502 refusal, with the predicted bounds as
+/// evidence.
+fn admission_refused(entry: &CatalogEntry, r: &Refused, ctx: &ServerCtx) -> Response {
+    ctx.stats.note_refused();
+    let mut resp = envelope(entry, "admission");
+    resp.insert(
+        "error".into(),
+        json!({
+            "kind": "admission_refused",
+            "message": format!(
+                "DEX502: predicted chase cost {} exceeds the server's \
+                 deny-cost ceiling {}; refusing before chasing",
+                r.headline, r.threshold
+            ),
+        }),
+    );
+    resp.insert(
+        "predicted".into(),
+        serde_json::to_value(&r.bounds).unwrap_or(Json::Null),
+    );
+    Response::json(422, Json::Object(resp))
 }
 
 /// Parse the request's `budget` override object (400 on bad shape).
-fn budget_overrides(body: &Json) -> Result<BudgetArgs, Response> {
+fn budget_overrides(body: &Json) -> Result<Budget, Response> {
     let mut args = BudgetArgs::new();
     if let Some(overrides) = body.get("budget") {
         let Some(obj) = overrides.as_object() else {
@@ -448,7 +417,7 @@ fn budget_overrides(body: &Json) -> Result<BudgetArgs, Response> {
             }
         }
     }
-    Ok(args)
+    Ok(args.budget())
 }
 
 /// Pull the `source` instance out of the body.
@@ -469,27 +438,14 @@ fn chase_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
         Ok(s) => s,
         Err(r) => return r,
     };
-    let budget = match admit(entry, &entry.mapping, &src, body, ctx) {
+    let budget = match request_budget(entry, &src, body, ctx) {
         Ok(b) => b,
         Err(r) => return r,
     };
-    // The governed budget is the *sole* rounds authority in the
-    // daemon: mirror its cap into the chase options (the CLI-facing
-    // default of 10k rounds would otherwise preempt wall-clock and
-    // cancellation trips on runaway mappings). `usize::MAX` is only
-    // reachable when `admit` left another axis capped — a truly
-    // uncapped budget gets `FALLBACK_MAX_ROUNDS` there.
-    let opts = ChaseOptions {
-        max_rounds: budget
-            .max_rounds
-            .and_then(|n| usize::try_from(n).ok())
-            .unwrap_or(usize::MAX),
-        ..ChaseOptions::default()
-    };
     let gov = Governor::new(budget).with_cancel(ctx.drain_cancel.clone());
     let persist = body.get("persist").and_then(Json::as_bool).unwrap_or(false);
-    let mut store_dir: Option<std::path::PathBuf> = None;
-    let outcome = if persist {
+    let (mut store, mut store_dir) = (None, None);
+    if persist {
         let Some(root) = &ctx.config.store_root else {
             return Response::error(
                 400,
@@ -500,25 +456,16 @@ fn chase_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
         let dir = root
             .join(&entry.name)
             .join(format!("run-{}", entry.next_store_seq()));
-        let created = Store::create(
-            &dir,
-            StoreMode::Chase,
-            &entry.text,
-            &src,
-            StoreOptions::default(),
-        );
-        let mut store = match created {
-            Ok(s) => s,
+        let opts = StoreOptions::default();
+        match Store::create(&dir, StoreMode::Chase, &entry.text, &src, opts) {
+            Ok(s) => store = Some(s),
             Err(e) => return Response::error(500, "store", e),
-        };
+        }
         store_dir = Some(dir);
-        let mut sink = StoreSink::new(&mut store);
-        exchange_checkpointed(&entry.mapping, &src, opts, &gov, &mut sink)
-    } else {
-        exchange_governed(&entry.mapping, &src, opts, &gov)
-    };
+    }
+    let outcome = pipeline::chase(&entry.mapping, &src, &gov, store.as_mut());
     let mut resp = envelope(entry, "chase");
-    if let Some(dir) = &store_dir {
+    if let Some(dir) = store_dir {
         resp.insert("store".into(), json!(dir.display().to_string()));
     }
     match outcome {
@@ -566,7 +513,7 @@ fn exchange_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
         },
         None => None,
     };
-    let budget = match admit(entry, &entry.mapping, &src, body, ctx) {
+    let budget = match request_budget(entry, &src, body, ctx) {
         Ok(b) => b,
         Err(r) => return r,
     };
@@ -660,22 +607,11 @@ fn migrate_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
     let opts = StoreOptions::default();
     let mut resp = envelope(entry, "migrate");
     resp.insert("run".into(), json!(run));
-
-    let budget = match budget_overrides(body) {
-        Ok(args) => {
-            let mut b = ctx.config.default_budget.intersect(args.budget());
-            if b.deadline.is_none()
-                && b.max_rounds.is_none()
-                && b.max_tuples.is_none()
-                && b.max_nulls.is_none()
-                && b.max_memory_bytes.is_none()
-            {
-                b = b.with_max_rounds(FALLBACK_MAX_ROUNDS);
-            }
-            b
-        }
+    let requested = match budget_overrides(body) {
+        Ok(b) => b,
         Err(r) => return r,
     };
+    let policy = ctx.config.policy();
 
     if body.get("resume").and_then(Json::as_bool).unwrap_or(false) {
         return match store_migrate::status(&dir) {
@@ -694,23 +630,12 @@ fn migrate_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
                 Err(e) => Response::error(500, "store", e),
             },
             Ok(MigrateStatus::InProgress { .. }) => match Migration::resume(&dir, opts) {
-                Ok(mig) => run_staged(mig, resp, run, budget, ctx),
+                Ok(mig) => run_staged(mig, resp, run, policy.budget(requested), ctx),
                 Err(e) => Response::error(500, "store", e),
             },
         };
     }
 
-    match store_migrate::status(&dir) {
-        Err(e) => return Response::error(500, "store", e),
-        Ok(MigrateStatus::None) => {}
-        Ok(_) => {
-            return Response::error(
-                409,
-                "migration_staged",
-                format!("run `{run}` already has a staged migration; resume it"),
-            )
-        }
-    }
     let Some(schema_text) = body.get("schema").and_then(Json::as_str) else {
         return Response::error(
             400,
@@ -718,88 +643,53 @@ fn migrate_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
             "missing `schema` (new-schema .dex text)",
         );
     };
-    let new_m = match parse_mapping(schema_text) {
-        Ok(m) => m,
-        Err(e) => return Response::error(400, "bad_schema", format!("schema: {e}")),
-    };
-    if !new_m.st_tgds().is_empty() || !new_m.target_tgds().is_empty() {
-        return Response::error(
-            400,
-            "bad_schema",
-            "`schema` must hold only declarations (target/key); it contains rules",
-        );
-    }
-    let mut new_schema = new_m.target().clone();
-    for rel in new_m.source().relations() {
-        if let Err(e) = new_schema.add_relation(rel.clone()) {
-            return Response::error(400, "bad_schema", format!("schema: {e}"));
+    let plan = match pipeline::plan_migration(&dir, opts, schema_text, &policy, requested, false) {
+        Ok(p) => p,
+        Err(refusal) => {
+            return match refusal {
+                MigrateRefusal::Staged => Response::error(
+                    409,
+                    "migration_staged",
+                    format!("run `{run}` already has a staged migration; resume it"),
+                ),
+                MigrateRefusal::BadSchema(e) => {
+                    Response::error(400, "bad_schema", format!("schema: {e}"))
+                }
+                MigrateRefusal::SchemaHasRules => Response::error(
+                    400,
+                    "bad_schema",
+                    "`schema` must hold only declarations (target/key); it contains rules",
+                ),
+                MigrateRefusal::NoStore(_) => {
+                    Response::error(404, "unknown_run", format!("no store at run `{run}`"))
+                }
+                MigrateRefusal::Unfinished { .. } => Response::error(
+                    409,
+                    "unfinished_run",
+                    format!("run `{run}` holds an unfinished chase; resume it before migrating"),
+                ),
+                MigrateRefusal::CannotMigrate(e) => Response::error(422, "cannot_migrate", e),
+                MigrateRefusal::Admission(r) => admission_refused(entry, &r, ctx),
+                MigrateRefusal::Prefix(e) => Response::error(500, "migrate", e),
+                MigrateRefusal::Store(e) => Response::error(500, "store", e),
+            }
         }
-    }
-
-    // The store's materialized instance is the migration's input; an
-    // unfinished chase must be resumed (not migrated) first.
-    let store = match Store::open(&dir, opts) {
-        Ok(s) => s,
-        Err(StoreError::NotAStore { .. }) => {
-            return Response::error(404, "unknown_run", format!("no store at run `{run}`"))
-        }
-        Err(e) => return Response::error(500, "store", e),
-    };
-    let state = match store.recover() {
-        Err(e) => return Response::error(500, "store", e),
-        Ok(Some(r)) if r.state.complete => r.state,
-        Ok(_) => {
-            return Response::error(
-                409,
-                "unfinished_run",
-                format!("run `{run}` holds an unfinished chase; resume it before migrating"),
-            )
-        }
-    };
-    let old_schema = state.instance.schema().clone();
-
-    let smos = match diff(
-        &EvCatalog::from_schema(&old_schema),
-        &EvCatalog::from_schema(&new_schema),
-    ) {
-        Ok(s) => s,
-        Err(e) => return Response::error(422, "cannot_migrate", e),
-    };
-    let migration = match compile_migration(&old_schema, &new_schema, &smos) {
-        Ok(m) => m,
-        Err(e) => return Response::error(422, "cannot_migrate", e),
-    };
-    let prefixed = match prefix_instance(&state.instance, 0) {
-        Ok(i) => i,
-        Err(e) => return Response::error(500, "migrate", e),
-    };
-    // Same admission gate as chase/exchange, against the *actual*
-    // stored data and the *compiled migration* mapping.
-    let budget = match admit(entry, &migration.mapping, &prefixed, body, ctx) {
-        Ok(b) => b,
-        Err(r) => return r,
     };
     resp.insert(
         "smos".into(),
         Json::Array(
-            migration
+            plan.migration
                 .smos
                 .iter()
                 .map(|s| json!(s.to_string()))
                 .collect(),
         ),
     );
-    let plan = MigratePlan {
-        schema_text: render_schema_dex(&new_schema),
-        mapping_text: render_mapping_dex(&migration.mapping),
-    };
-    drop(store);
-    match Migration::begin(&dir, &plan, &prefixed, opts) {
-        Ok(mig) => run_staged(mig, resp, run, budget, ctx),
+    match plan.begin(&dir, opts) {
+        Ok(mig) => run_staged(mig, resp, run, plan.admitted.budget, ctx),
         Err(e) => Response::error(500, "store", e),
     }
 }
-
 /// Drive a staged migration to commit (200) or a durable, resumable
 /// checkpoint (206). The drain [`CancelToken`] rides the governor, so
 /// daemon shutdown suspends the migration exactly like a budget trip —
@@ -814,22 +704,16 @@ fn run_staged(
     ctx: &ServerCtx,
 ) -> Response {
     let gov = Governor::new(budget).with_cancel(ctx.drain_cancel.clone());
-    match mig.run(ChaseOptions::default(), &gov) {
+    match pipeline::run_migration(&mut mig, &gov) {
         Err(e) => {
             ctx.stats.note_error();
             Response::error(500, "migrate", e)
         }
-        Ok(MigrateRun::Done(state)) => match mig.finalize() {
-            Err(e) => {
-                ctx.stats.note_error();
-                Response::error(500, "migrate", e)
-            }
-            Ok(()) => {
-                resp.insert("committed".into(), json!(true));
-                resp.insert("tuples".into(), json!(state.instance.fact_count()));
-                Response::json(200, Json::Object(resp))
-            }
-        },
+        Ok(MigrateRun::Done(state)) => {
+            resp.insert("committed".into(), json!(true));
+            resp.insert("tuples".into(), json!(state.instance.fact_count()));
+            Response::json(200, Json::Object(resp))
+        }
         Ok(MigrateRun::Suspended(report)) => {
             ctx.stats.note_partial();
             resp.insert("committed".into(), json!(false));

@@ -69,7 +69,9 @@ fn json_to_value(j: &Json) -> Result<Value, String> {
     }
 }
 
-fn value_to_json(v: &Value) -> Json {
+/// Encode one cell: constants as JSON scalars, labeled nulls as
+/// `{"null": n}`, Skolem terms as `{"skolem": f, "args": […]}`.
+pub fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Const(dex_relational::Constant::Int(i)) => json!(i),
         Value::Const(dex_relational::Constant::Str(s)) => json!(s),

@@ -36,7 +36,10 @@
 //! process; graceful shutdown drains under a deadline, cancelling
 //! overrunning work into 206s. The status codes are in 1:1
 //! correspondence with the CLI's exit-code contract
-//! (`200↔0`, `206↔3`, `422↔2`, `500↔70`).
+//! (`200↔0`, `206↔3`, `422↔2`, `500↔70`). Admission, the budget rule,
+//! the governed runs and the migration planner live in [`pipeline`],
+//! which `dexcli` calls too, so the two front ends agree by sharing
+//! code.
 //!
 //! Chaos coverage: with the `failpoints` feature the network layer
 //! exposes `server.accept` / `server.read_request` / `server.dispatch`
@@ -54,6 +57,7 @@ pub mod catalog;
 pub mod handlers;
 pub mod http;
 pub mod json;
+pub mod pipeline;
 pub mod server;
 
 pub use catalog::{Catalog, CatalogEntry};

@@ -89,6 +89,18 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// The admission settings every request runs the shared
+    /// [`pipeline`](crate::pipeline) with.
+    pub fn policy(&self) -> crate::pipeline::Policy {
+        crate::pipeline::Policy {
+            default_budget: self.default_budget,
+            deny_cost: self.deny_cost,
+            auto_budget: self.auto_budget,
+        }
+    }
+}
+
 /// Number of log₂ latency buckets: bucket `i` holds requests that took
 /// `< 2^i` µs (the last bucket is open-ended). 2³⁹ µs ≈ 6.4 days, far
 /// past any request the IO timeouts allow to live.

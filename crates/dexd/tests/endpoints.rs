@@ -479,6 +479,31 @@ fn uncapped_budget_falls_back_to_a_finite_rounds_ceiling() {
     srv.shutdown();
 }
 
+/// Twin of the CLI's round-cap regression test: a request's
+/// `max-rounds` above the 10 000-round default ceiling is honoured.
+#[test]
+fn max_rounds_above_the_default_ceiling_is_honoured() {
+    let mapping = include_str!("../../../examples/mappings/bad_non_terminating.dex");
+    let srv = spawn(&[("nt", mapping)], |_| {});
+    let resp = request(
+        srv.addr(),
+        "POST",
+        "/v1/mappings/nt/chase",
+        r#"{"source": {"Emp": [["a","b"]]}, "budget": {"max-rounds": 10005}}"#,
+    );
+    assert_eq!(resp.status, 206, "{}", resp.raw_body);
+    assert_eq!(
+        resp.field("exhausted.reason").and_then(|v| v.as_str()),
+        Some("rounds")
+    );
+    assert_eq!(
+        resp.field("exhausted.rounds_committed")
+            .and_then(|v| v.as_u64()),
+        Some(10006)
+    );
+    srv.shutdown();
+}
+
 #[test]
 fn transfer_encoding_chunked_is_refused_with_400() {
     let srv = spawn(&[("emp", EMPLOYEES)], |_| {});

@@ -112,7 +112,8 @@ impl Budget {
     /// only one is). This is how `dexd` combines its server default
     /// with a request's overrides and the statically synthesized
     /// [`from_bounds`](Self::from_bounds) caps — a request can narrow
-    /// the server's budget but never widen it.
+    /// the server's budget but never widen it. `dexcli` applies the
+    /// same rule through the same request pipeline.
     pub fn intersect(self, other: Budget) -> Budget {
         fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
             match (a, b) {
@@ -379,8 +380,7 @@ impl Governor {
     /// Record one committed (instance-changing) chase round.
     ///
     /// Accounting is unconditional (even for an unlimited governor) so
-    /// exhaustion reports triggered by *external* limits — e.g. the
-    /// chase's own `max_rounds` option — still carry accurate counters.
+    /// every exhaustion report carries accurate counters.
     pub fn note_round(&self) {
         self.rounds.fetch_add(1, Ordering::Relaxed);
     }

@@ -31,26 +31,23 @@
 //! `{"skolem": "f", "args": [...]}`.
 
 use dex::analyze::{
-    analyze_with, chase_bounds, cost::DEFAULT_CARD, deny_warnings, equivalent, explain_with,
-    has_errors, parse_error_diagnostic, render_all, sort_diagnostics, verify_containment_witness,
+    analyze_with, cost::DEFAULT_CARD, deny_warnings, equivalent, explain_with, has_errors,
+    parse_error_diagnostic, render_all, sort_diagnostics, verify_containment_witness,
     AnalyzeOptions, Code, ContainmentVerdict,
 };
-use dex::chase::{
-    certain_answers_governed, exchange_checkpointed, exchange_governed, resume_exchange, Budget,
-    ChaseOptions, ChaseOutcome, ChaseStats, Governor, ResumeState,
-};
+use dex::chase::{certain_answers_governed, Budget, ChaseOutcome, ChaseStats, Governor};
 use dex::core::{compile, Engine, EngineForward, ForwardStats};
-use dex::evolution::{diff, prefix_instance, render_mapping_dex, render_schema_dex, Catalog};
+use dex::evolution::render_mapping_dex;
 use dex::logic::{parse_mapping, parse_mapping_with_spans, Mapping};
 use dex::ops::{compose, maximum_recovery, verify_composition};
 use dex::relational::budget_args::{parse_count, BudgetArgs};
-use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats, Tuple, Value};
+use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats};
 use dex::rellens::Environment;
 use dex::store::migrate::{self as store_migrate, MigrateStatus};
-use dex::store::{
-    fsck, ChaseState, MigratePlan, MigrateRun, Migration, Store, StoreMode, StoreOptions, StoreSink,
-};
-use serde_json::{json, Map, Value as Json};
+use dex::store::{fsck, ChaseState, MigrateRun, Migration, Store, StoreMode, StoreOptions};
+use dexd::json::{instance_from_json, instance_to_json, value_to_json};
+use dexd::pipeline::{self, MigrateRefusal, Policy, Refused};
+use serde_json::{json, Value as Json};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -123,28 +120,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
-            let ctl = extract_cost_controls(&mut rest)?;
+            let policy = extract_policy(&mut rest)?;
             extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let mapping_path = rest.first().ok_or(usage)?;
             let (text, m) = load_mapping_text(mapping_path)?;
             let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
-            let (budget, predicted) = match admit(&m, &src, &ctl, budget) {
+            let (budget, predicted) = match admitted_budget(&policy, &m, &src, budget) {
                 Ok(adm) => adm,
                 Err(code) => return Ok(code),
             };
             let gov = Governor::new(budget);
-            let outcome = match &store_opts {
-                Some((dir, opts)) => {
-                    let mut store = Store::create(dir, StoreMode::Chase, &text, &src, *opts)
-                        .map_err(|e| e.to_string())?;
-                    let mut sink = StoreSink::new(&mut store);
-                    exchange_checkpointed(&m, &src, ChaseOptions::default(), &gov, &mut sink)
-                        .map_err(|e| e.to_string())?
-                }
-                None => exchange_governed(&m, &src, ChaseOptions::default(), &gov)
-                    .map_err(|e| e.to_string())?,
-            };
+            let mut store = create_store(&store_opts, StoreMode::Chase, &text, &src)?;
+            let outcome =
+                pipeline::chase(&m, &src, &gov, store.as_mut()).map_err(|e| e.to_string())?;
             if let ChaseOutcome::Complete(res) = &outcome {
                 // In `--format json` mode stderr carries exactly one
                 // machine-readable object; keep the human line out.
@@ -169,7 +158,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
-            let ctl = extract_cost_controls(&mut rest)?;
+            let policy = extract_policy(&mut rest)?;
             extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let mapping_path = rest.first().ok_or(usage)?;
@@ -179,19 +168,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Some(p) => Some(load_instance(p, m.target())?),
                 None => None,
             };
-            let (budget, predicted) = match admit(&m, &src, &ctl, budget) {
+            let (budget, predicted) = match admitted_budget(&policy, &m, &src, budget) {
                 Ok(adm) => adm,
                 Err(code) => return Ok(code),
             };
             let engine = build_engine(&m)?;
             let gov = Governor::new(budget);
-            let mut store = match &store_opts {
-                Some((dir, opts)) => Some(
-                    Store::create(dir, StoreMode::Exchange, &text, &src, *opts)
-                        .map_err(|e| e.to_string())?,
-                ),
-                None => None,
-            };
+            let mut store = create_store(&store_opts, StoreMode::Exchange, &text, &src)?;
             let forward = engine
                 .forward_governed(&src, prev.as_ref(), &gov)
                 .map_err(|e| e.to_string())?;
@@ -210,13 +193,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "migrate" => migrate_cmd(&args[1..]),
         "fsck" => {
             let mut rest: Vec<&String> = args[1..].iter().collect();
-            let repair = match rest.iter().position(|a| a.as_str() == "--repair") {
-                Some(i) => {
-                    rest.remove(i);
-                    true
-                }
-                None => false,
-            };
+            let repair = take_flag(&mut rest, "--repair");
             reject_unknown_flags(&rest)?;
             let dir = Path::new(rest.first().ok_or(usage)?.as_str());
             fsck_cmd(dir, repair)
@@ -227,18 +204,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let src = load_instance(args.get(3).ok_or(usage)?, m.source())?;
             let engine = build_engine(&m)?;
             let out = engine.backward(&tgt, &src).map_err(|e| e.to_string())?;
-            println!("{}", render_instance(&out));
+            println!("{}", pretty(&instance_to_json(&out)));
             Ok(ExitCode::SUCCESS)
         }
         "compose" => {
             let mut rest: Vec<&String> = args[1..].iter().collect();
-            let check = match rest.iter().position(|a| a.as_str() == "--check") {
-                Some(i) => {
-                    rest.remove(i);
-                    true
-                }
-                None => false,
-            };
+            let check = take_flag(&mut rest, "--check");
             reject_unknown_flags(&rest)?;
             let m1 = load_mapping(rest.first().ok_or(usage)?)?;
             let m2 = load_mapping(rest.get(1).ok_or(usage)?)?;
@@ -272,7 +243,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         );
                         if let Some(cx) = chk.counterexample {
                             eprintln!("counterexample source instance:");
-                            eprintln!("{}", render_instance(&cx.source));
+                            eprintln!("{}", pretty(&instance_to_json(&cx.source)));
                         }
                         return Ok(ExitCode::from(EXIT_LINT));
                     }
@@ -289,6 +260,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
             extract_threads(&mut rest)?;
+            reject_unknown_flags(&rest)?;
             let m = load_mapping(rest.first().ok_or(usage)?)?;
             let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
             let qtext = rest.get(2).ok_or(usage)?;
@@ -297,9 +269,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 dex::chase::ConjunctiveQuery::new(head.iter().map(|n| n.as_str()).collect(), body)
                     .map_err(|e| e.to_string())?;
             q.validate(m.target()).map_err(|e| e.to_string())?;
-            let gov = Governor::new(budget);
-            let outcome = exchange_governed(&m, &src, ChaseOptions::default(), &gov)
-                .map_err(|e| e.to_string())?;
+            let gov = Governor::new(Policy::default().budget(budget));
+            let outcome = pipeline::chase(&m, &src, &gov, None).map_err(|e| e.to_string())?;
             // Certain-answer evaluation is monotone, so answers computed
             // over a chase prefix are a sound subset of the certain
             // answers — report them, flag the truncation, exit 3.
@@ -327,10 +298,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .iter()
                 .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
                 .collect();
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&Json::Array(rows)).map_err(|e| e.to_string())?
-            );
+            println!("{}", pretty(&Json::Array(rows)));
             Ok(if exhausted.is_some() {
                 ExitCode::from(EXIT_EXHAUSTED)
             } else {
@@ -589,13 +557,7 @@ fn optimize_cmd(args: &[String]) -> Result<ExitCode, String> {
     let usage = "usage: dexcli optimize <mapping.dex> [--emit <out.dex>] [--check]";
     let mut rest: Vec<&String> = args.iter().collect();
     let emit = take_flag_value(&mut rest, "--emit")?;
-    let check = match rest.iter().position(|a| a.as_str() == "--check") {
-        Some(i) => {
-            rest.remove(i);
-            true
-        }
-        None => false,
-    };
+    let check = take_flag(&mut rest, "--check");
     reject_unknown_flags(&rest)?;
     let path = rest.first().ok_or(usage)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -787,13 +749,7 @@ fn reject_unknown_flags(rest: &[&String]) -> Result<(), String> {
 
 /// Extract `--stats` and `--format text|json` from an argument list.
 fn extract_output(rest: &mut Vec<&String>) -> Result<OutputOpts, String> {
-    let stats = match rest.iter().position(|a| a.as_str() == "--stats") {
-        Some(i) => {
-            rest.remove(i);
-            true
-        }
-        None => false,
-    };
+    let stats = take_flag(rest, "--stats");
     let json = match take_flag_value(rest, "--format")?.as_deref() {
         Some("json") => true,
         Some("text") | None => false,
@@ -812,13 +768,7 @@ fn extract_store(
 ) -> Result<Option<(std::path::PathBuf, StoreOptions)>, String> {
     let dir = take_flag_value(rest, "--store")?;
     let every = take_flag_value(rest, "--snapshot-every")?;
-    let no_sync = match rest.iter().position(|a| a.as_str() == "--no-sync") {
-        Some(i) => {
-            rest.remove(i);
-            true
-        }
-        None => false,
-    };
+    let no_sync = take_flag(rest, "--no-sync");
     match dir {
         Some(d) => {
             let mut opts = StoreOptions::default();
@@ -845,20 +795,19 @@ fn finish_chase(
 ) -> Result<ExitCode, String> {
     match outcome {
         ChaseOutcome::Complete(res) => {
-            if out.stats {
-                emit_stderr(out, chase_stats_json(&res.stats, predicted, None), |_| {
-                    format!("{}", res.stats)
-                });
+            if out.json {
+                eprintln!("{}", chase_stats_json(&res.stats, predicted, None));
+            } else if out.stats {
+                eprint!("{}", res.stats);
             }
-            println!("{}", render_instance(&res.target));
+            println!("{}", pretty(&instance_to_json(&res.target)));
             Ok(ExitCode::SUCCESS)
         }
         ChaseOutcome::Exhausted(ex) => {
             if out.json {
-                emit_stderr(
-                    out,
-                    chase_stats_json(&ex.stats, predicted, Some(&ex.report)),
-                    |_| String::new(),
+                eprintln!(
+                    "{}",
+                    chase_stats_json(&ex.stats, predicted, Some(&ex.report))
                 );
             } else {
                 eprintln!("{}", ex.report);
@@ -870,7 +819,7 @@ fn finish_chase(
                     eprintln!("resume with: dexcli resume {}", dir.display());
                 }
             }
-            println!("{}", render_instance(&ex.partial));
+            println!("{}", pretty(&instance_to_json(&ex.partial)));
             Ok(ExitCode::from(EXIT_EXHAUSTED))
         }
     }
@@ -899,39 +848,26 @@ fn finish_forward(
     match forward {
         EngineForward::Complete { target, stats } => {
             persist(store, &target, true)?;
-            if out.stats {
-                emit_stderr(out, forward_stats_json(&stats, predicted, None), |_| {
-                    format!("{stats}")
-                });
+            if out.json {
+                eprintln!("{}", forward_stats_json(&stats, predicted, None));
+            } else if out.stats {
+                eprint!("{stats}");
             }
-            println!("{}", render_instance(&target));
+            println!("{}", pretty(&instance_to_json(&target)));
             Ok(ExitCode::SUCCESS)
         }
         EngineForward::Exhausted { partial, report } => {
             persist(store, &partial, false)?;
             if out.json {
-                emit_stderr(
-                    out,
-                    forward_stats_json(&ForwardStats::default(), predicted, Some(&report)),
-                    |_| String::new(),
-                );
+                let stats = ForwardStats::default();
+                eprintln!("{}", forward_stats_json(&stats, predicted, Some(&report)));
             } else {
                 eprintln!("{report}");
                 eprintln!("the instance below is a consistent partial forward result");
             }
-            println!("{}", render_instance(&partial));
+            println!("{}", pretty(&instance_to_json(&partial)));
             Ok(ExitCode::from(EXIT_EXHAUSTED))
         }
-    }
-}
-
-/// One stderr emission: the JSON object under `--format json`, the
-/// text rendering otherwise.
-fn emit_stderr(out: &OutputOpts, json: Json, text: impl Fn(()) -> String) {
-    if out.json {
-        eprintln!("{json}");
-    } else {
-        eprint!("{}", text(()));
     }
 }
 
@@ -995,7 +931,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
     let mut store = Store::open(dir, StoreOptions::default()).map_err(|e| e.to_string())?;
     let m = parse_mapping(store.mapping_text())
         .map_err(|e| format!("mapping stored in {}: {e}", dir.display()))?;
-    let gov = Governor::new(budget);
+    let gov = Governor::new(Policy::default().budget(budget));
     match store.mode() {
         StoreMode::Chase => match store.recover().map_err(|e| e.to_string())? {
             Some(r) if r.state.complete => {
@@ -1003,7 +939,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
                     "store already holds a completed chase (round {})",
                     r.state.round
                 );
-                println!("{}", render_instance(&r.state.instance));
+                println!("{}", pretty(&instance_to_json(&r.state.instance)));
                 Ok(ExitCode::SUCCESS)
             }
             Some(r) => {
@@ -1017,25 +953,14 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
                         ""
                     }
                 );
-                store.prepare_resume(&r.state).map_err(|e| e.to_string())?;
-                let state = ResumeState {
-                    target: r.state.instance,
-                    next_null: r.state.next_null,
-                    rounds: r.state.round,
-                };
-                let mut sink = StoreSink::new(&mut store);
-                let outcome =
-                    resume_exchange(&m, state, ChaseOptions::default(), &gov, Some(&mut sink))
-                        .map_err(|e| e.to_string())?;
+                let outcome = pipeline::resume(&m, &mut store, r.state, &gov)?;
                 finish_chase(outcome, out, None, Some(dir))
             }
             None => {
                 eprintln!("no checkpoint on disk; starting the chase from the stored source");
                 let src = store.source().map_err(|e| e.to_string())?;
-                let mut sink = StoreSink::new(&mut store);
                 let outcome =
-                    exchange_checkpointed(&m, &src, ChaseOptions::default(), &gov, &mut sink)
-                        .map_err(|e| e.to_string())?;
+                    pipeline::chase(&m, &src, &gov, Some(&mut store)).map_err(|e| e.to_string())?;
                 finish_chase(outcome, out, None, Some(dir))
             }
         },
@@ -1043,7 +968,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
             if let Some(r) = store.recover().map_err(|e| e.to_string())? {
                 if r.state.complete {
                     eprintln!("store already holds a completed exchange");
-                    println!("{}", render_instance(&r.state.instance));
+                    println!("{}", pretty(&instance_to_json(&r.state.instance)));
                     return Ok(ExitCode::SUCCESS);
                 }
             }
@@ -1111,7 +1036,7 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
                  \x20      [--snapshot-every <n>] [--no-sync]";
     let mut rest: Vec<&String> = args.iter().collect();
     let budget = extract_budget(&mut rest)?;
-    let ctl = extract_cost_controls(&mut rest)?;
+    let policy = extract_policy(&mut rest)?;
     extract_threads(&mut rest)?;
     let dry_run = take_flag(&mut rest, "--dry-run");
     let resume_flag = take_flag(&mut rest, "--resume");
@@ -1149,100 +1074,21 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         let mig = Migration::resume(dir, opts).map_err(|e| e.to_string())?;
-        return run_migration(mig, dir, budget);
+        return run_migration(mig, dir, policy.budget(budget));
     }
 
     let schema_path = rest.get(1).ok_or(usage)?;
-    if !matches!(
-        store_migrate::status(dir).map_err(|e| e.to_string())?,
-        MigrateStatus::None
-    ) {
-        eprintln!(
-            "refusing to start: a migration is already staged at {}/migrate — \
-             continue it with `dexcli migrate {} --resume`",
-            dir.display(),
-            dir.display()
-        );
-        return Ok(ExitCode::from(EXIT_LINT));
-    }
-
-    // The old schema and data come from the store's materialized
-    // instance, which must be complete — migrating a half-finished
-    // chase would silently drop the un-derived remainder.
-    let store = Store::open(dir, opts).map_err(|e| e.to_string())?;
-    let state = match store.recover().map_err(|e| e.to_string())? {
-        Some(r) if r.state.complete => r.state,
-        Some(r) => {
-            eprintln!(
-                "refusing to migrate: the store holds an unfinished run (round {}); \
-                 finish it first with `dexcli resume {}`",
-                r.state.round,
-                dir.display()
-            );
-            return Ok(ExitCode::from(EXIT_LINT));
-        }
-        None => {
-            eprintln!(
-                "refusing to migrate: the store has no materialized instance yet; \
-                 run it to completion first (`dexcli resume {}`)",
-                dir.display()
-            );
-            return Ok(ExitCode::from(EXIT_LINT));
-        }
-    };
-    let old_schema = state.instance.schema().clone();
-
-    // The evolved schema: declarations only (conventionally `target`,
-    // plus `key`); rules belong in mappings, not schema files.
-    let (_, new_m) = load_mapping_text(schema_path)?;
-    if !new_m.st_tgds().is_empty() || !new_m.target_tgds().is_empty() {
-        eprintln!(
-            "refusing to migrate: `{schema_path}` must hold only schema declarations \
-             (source/target/key); it contains rules"
-        );
-        return Ok(ExitCode::from(EXIT_LINT));
-    }
-    let mut new_schema = new_m.target().clone();
-    for rel in new_m.source().relations() {
-        new_schema
-            .add_relation(rel.clone())
-            .map_err(|e| format!("{schema_path}: {e}"))?;
-    }
-
-    // Diff old → new and compile the SMO sequence to one migration
-    // mapping. Both refuse rather than guess: ambiguous diffs, rename
-    // cycles, and non-first-order compositions all exit 2 here, before
-    // any byte of the store is touched.
-    let old_cat = Catalog::from_schema(&old_schema);
-    let new_cat = Catalog::from_schema(&new_schema);
-    let smos = match diff(&old_cat, &new_cat) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot migrate: {e}");
-            return Ok(ExitCode::from(EXIT_LINT));
-        }
-    };
+    let schema_text = std::fs::read_to_string(schema_path)
+        .map_err(|e| format!("cannot read {schema_path}: {e}"))?;
     // --dry-run also turns on the chase-agreement self-check: every
     // pairwise composition in the fold is re-verified against the
     // two-step chase (DEX604 on disagreement) — verification belongs
     // in the rehearsal, not on the hot path of the real run.
-    let migration =
-        match dex::evolution::compile_migration_checked(&old_schema, &new_schema, &smos, dry_run) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("cannot migrate: {e}");
-                return Ok(ExitCode::from(EXIT_LINT));
-            }
-        };
-
-    // Cost admission over the *actual* stored data, same knobs as
-    // chase/exchange: --deny-cost refuses (DEX502, exit 2),
-    // --auto-budget synthesizes caps from the predicted bounds.
-    let prefixed = prefix_instance(&state.instance, 0).map_err(|e| e.to_string())?;
-    let (budget, predicted) = match admit(&migration.mapping, &prefixed, &ctl, budget) {
-        Ok(adm) => adm,
-        Err(code) => return Ok(code),
+    let plan = match pipeline::plan_migration(dir, opts, &schema_text, &policy, budget, dry_run) {
+        Ok(plan) => plan,
+        Err(refusal) => return migrate_refused(refusal, dir, schema_path),
     };
+    let migration = &plan.migration;
 
     if dry_run {
         println!("schema diff ({} operation(s)):", migration.smos.len());
@@ -1251,7 +1097,10 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         println!("\nmigration mapping:");
         print!("{}", render_mapping_dex(&migration.mapping));
-        println!("\npredicted cost bounds at the stored instance: {predicted}");
+        println!(
+            "\npredicted cost bounds at the stored instance: {}",
+            bounds_json(&plan.admitted.bounds)
+        );
         if let Some(back) = migration.backward() {
             println!("\nbackward (maximum recovery):");
             println!("{back}");
@@ -1260,30 +1109,55 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    drop(store);
-    let plan = MigratePlan {
-        schema_text: render_schema_dex(&new_schema),
-        mapping_text: render_mapping_dex(&migration.mapping),
-    };
     eprintln!(
         "migrating {} tuple(s) through {} schema operation(s)",
-        state.instance.fact_count(),
+        plan.input.fact_count(),
         migration.smos.len()
     );
-    let mig = Migration::begin(dir, &plan, &prefixed, opts).map_err(|e| e.to_string())?;
-    run_migration(mig, dir, budget)
+    let mig = plan.begin(dir, opts).map_err(|e| e.to_string())?;
+    run_migration(mig, dir, plan.admitted.budget)
+}
+
+/// Render a migration refusal: refused before any byte of the store
+/// was touched (exit 2), or a usage/IO error (exit 1).
+fn migrate_refused(
+    refusal: MigrateRefusal,
+    dir: &Path,
+    schema_path: &str,
+) -> Result<ExitCode, String> {
+    let d = dir.display();
+    match refusal {
+        MigrateRefusal::Staged => eprintln!(
+            "refusing to start: a migration is already staged at {d}/migrate — \
+             continue it with `dexcli migrate {d} --resume`"
+        ),
+        MigrateRefusal::SchemaHasRules => eprintln!(
+            "refusing to migrate: `{schema_path}` must hold only schema declarations \
+             (source/target/key); it contains rules"
+        ),
+        MigrateRefusal::Unfinished { round: Some(round) } => eprintln!(
+            "refusing to migrate: the store holds an unfinished run (round {round}); \
+             finish it first with `dexcli resume {d}`"
+        ),
+        MigrateRefusal::Unfinished { round: None } => eprintln!(
+            "refusing to migrate: the store has no materialized instance yet; \
+             run it to completion first (`dexcli resume {d}`)"
+        ),
+        MigrateRefusal::CannotMigrate(e) => eprintln!("cannot migrate: {e}"),
+        MigrateRefusal::Admission(r) => report_refusal(&r),
+        MigrateRefusal::BadSchema(e) => return Err(format!("{schema_path}: {e}")),
+        MigrateRefusal::Prefix(e) => return Err(e.to_string()),
+        MigrateRefusal::NoStore(e) | MigrateRefusal::Store(e) => return Err(e.to_string()),
+    }
+    Ok(ExitCode::from(EXIT_LINT))
 }
 
 /// Run a staged migration to fixpoint (commit + roll-forward) or to a
 /// durable budget boundary (exit 3, resumable).
 fn run_migration(mut mig: Migration, dir: &Path, budget: Budget) -> Result<ExitCode, String> {
     let gov = Governor::new(budget);
-    match mig
-        .run(ChaseOptions::default(), &gov)
-        .map_err(|e| e.to_string())?
-    {
+    match pipeline::run_migration(&mut mig, &gov).map_err(|e| e.to_string())? {
         MigrateRun::Done(state) => {
-            mig.finalize().map_err(|e| e.to_string())?;
             eprintln!(
                 "migration committed: {} now serves {} tuple(s) under the new schema",
                 dir.display(),
@@ -1331,10 +1205,7 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
     if let Some(v) = take_flag_value(&mut rest, "--deny-cost")? {
         config.deny_cost = Some(parse_count(&v, "--deny-cost")?);
     }
-    if let Some(i) = rest.iter().position(|a| a.as_str() == "--no-auto-budget") {
-        rest.remove(i);
-        config.auto_budget = false;
-    }
+    config.auto_budget = !take_flag(&mut rest, "--no-auto-budget");
     if let Some(v) = take_flag_value(&mut rest, "--drain-deadline")? {
         config.drain_deadline =
             dex::relational::budget_args::parse_duration(&v, "--drain-deadline")?;
@@ -1458,7 +1329,8 @@ commands:
   fsck     <store-dir> [--repair]                verify a store; --repair truncates a torn WAL
   serve    --map name=mapping.dex …              multi-tenant HTTP daemon (dexd)
 
-resource budgets (chase, exchange, query, resume):
+resource budgets (chase, exchange, query, resume; with no cap at all,
+rounds stop at 10000):
   --timeout <dur>      wall-clock deadline: 500ms, 2s, 1m (bare number = ms)
   --max-rounds <n>     cap on committed chase rounds
   --max-tuples <n>     cap on derived target tuples
@@ -1477,8 +1349,9 @@ cost-based admission control (lint, explain, chase, exchange):
                        refused at every threshold
   --auto-budget        chase/exchange: synthesize --max-rounds/-tuples/
                        -nulls/-memory caps from the predicted bounds
-                       (2x safety headroom); explicit --max-* flags take
-                       precedence; unbounded predictions set no caps
+                       (2x safety headroom); on each axis the tighter of
+                       an explicit --max-* flag and the synthesized cap
+                       wins; unbounded predictions set no caps
 
 parallelism (chase, exchange, query, resume):
   --threads <n>        matcher worker threads (default 1 = sequential;
@@ -1585,75 +1458,56 @@ fn extract_budget(rest: &mut Vec<&String>) -> Result<Budget, String> {
     Ok(args.budget())
 }
 
-/// Safety factor applied to `--auto-budget` caps. The static bounds
-/// already over-approximate every governor meter (the cost pass's
-/// soundness contract), so any factor ≥ 1 never trips on an admitted
-/// mapping; the doubling is headroom against accounting drift.
-const AUTO_BUDGET_SAFETY: u64 = 2;
-
-/// Cost-based admission controls shared by `chase` and `exchange`.
-struct CostControls {
-    auto_budget: bool,
-    deny_cost: Option<u64>,
-}
-
-/// Extract `--auto-budget` and `--deny-cost <n>` from an argument list.
-fn extract_cost_controls(rest: &mut Vec<&String>) -> Result<CostControls, String> {
-    let auto_budget = match rest.iter().position(|a| a.as_str() == "--auto-budget") {
-        Some(i) => {
-            rest.remove(i);
-            true
-        }
-        None => false,
-    };
+/// Extract the cost-based admission flags shared by `chase`,
+/// `exchange` and `migrate` (`--auto-budget`, `--deny-cost <n>`) into
+/// the request pipeline's policy. The CLI's default budget is
+/// unlimited: only the flags cap a run.
+fn extract_policy(rest: &mut Vec<&String>) -> Result<Policy, String> {
+    let auto_budget = take_flag(rest, "--auto-budget");
     let deny_cost = match take_flag_value(rest, "--deny-cost")? {
         Some(v) => Some(parse_count(&v, "--deny-cost")?),
         None => None,
     };
-    Ok(CostControls {
-        auto_budget,
+    Ok(Policy {
+        default_budget: Budget::unlimited(),
         deny_cost,
+        auto_budget,
     })
 }
 
-/// Static-cost admission control for `chase`/`exchange`: evaluate the
-/// bounds at the *measured* source statistics, refuse over-threshold
-/// mappings (`--deny-cost`, exit 2 like lint), and synthesize budget
-/// caps (`--auto-budget`; explicit `--max-*` flags take precedence).
-/// Returns the admitted budget plus the predicted bounds as JSON for
-/// `--stats` reporting.
-fn admit(
+/// Admit a run through the shared request pipeline. A DEX502 refusal
+/// is reported on stderr and becomes exit 2, like lint. Returns the
+/// budget to run with plus the predicted bounds as JSON for `--stats`.
+fn admitted_budget(
+    policy: &Policy,
     m: &Mapping,
     src: &Instance,
-    ctl: &CostControls,
-    mut budget: Budget,
+    requested: Budget,
 ) -> Result<(Budget, Json), ExitCode> {
-    let stats = SourceStats::measure(src);
-    let bounds = chase_bounds(m, &stats);
-    if let Some(threshold) = ctl.deny_cost {
-        let headline = bounds.headline();
-        if headline.exceeds(threshold) {
-            eprintln!(
-                "DEX502: predicted chase cost {headline} exceeds --deny-cost {threshold}; \
-                 refusing to run"
-            );
-            eprintln!(
-                "  bounds at the measured source: rounds <= {}, firings <= {}, \
-                 tuples <= {}, nulls <= {}, bytes <= {}",
-                bounds.rounds, bounds.firings, bounds.tuples, bounds.nulls, bounds.bytes
-            );
-            return Err(ExitCode::from(EXIT_LINT));
+    match policy.admit(m, src, requested) {
+        Ok(admitted) => Ok((admitted.budget, bounds_json(&admitted.bounds))),
+        Err(refused) => {
+            report_refusal(&refused);
+            Err(ExitCode::from(EXIT_LINT))
         }
     }
-    if ctl.auto_budget {
-        let auto = Budget::from_bounds(&bounds, AUTO_BUDGET_SAFETY);
-        budget.max_rounds = budget.max_rounds.or(auto.max_rounds);
-        budget.max_tuples = budget.max_tuples.or(auto.max_tuples);
-        budget.max_nulls = budget.max_nulls.or(auto.max_nulls);
-        budget.max_memory_bytes = budget.max_memory_bytes.or(auto.max_memory_bytes);
-    }
-    let predicted = serde_json::to_value(&bounds).unwrap_or(Json::Null);
-    Ok((budget, predicted))
+}
+
+fn report_refusal(r: &Refused) {
+    eprintln!(
+        "DEX502: predicted chase cost {} exceeds --deny-cost {}; refusing to run",
+        r.headline, r.threshold
+    );
+    let b = &r.bounds;
+    eprintln!(
+        "  bounds at the measured source: rounds <= {}, firings <= {}, \
+         tuples <= {}, nulls <= {}, bytes <= {}",
+        b.rounds, b.firings, b.tuples, b.nulls, b.bytes
+    );
+}
+
+fn bounds_json(bounds: &dex::relational::cost::ChaseBounds) -> Json {
+    serde_json::to_value(bounds).unwrap_or(Json::Null)
 }
 
 /// `Emp=5000,Dept=20,default=100`: per-relation cardinalities for the
@@ -1747,73 +1601,24 @@ fn check(m: &Mapping) {
 fn load_instance(path: &str, schema: &Schema) -> Result<Instance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json: Json = serde_json::from_str(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    let obj = json
-        .as_object()
-        .ok_or_else(|| format!("{path}: expected a JSON object of relations"))?;
-    let mut inst = Instance::empty(schema.clone());
-    for (rel, rows) in obj {
-        let rows = rows
-            .as_array()
-            .ok_or_else(|| format!("{path}: `{rel}` must be an array of rows"))?;
-        for row in rows {
-            let cells = row
-                .as_array()
-                .ok_or_else(|| format!("{path}: rows of `{rel}` must be arrays"))?;
-            let tuple: Tuple = cells
-                .iter()
-                .map(json_to_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("{path}: {e}"))?
-                .into();
-            inst.insert(rel, tuple)
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    Ok(inst)
+    instance_from_json(&json, schema).map_err(|e| format!("{path}: {e}"))
 }
 
-fn json_to_value(j: &Json) -> Result<Value, String> {
-    match j {
-        Json::String(s) => Ok(Value::str(s.clone())),
-        Json::Number(n) => n
-            .as_i64()
-            .map(Value::int)
-            .ok_or_else(|| format!("non-integer number {n}")),
-        Json::Bool(b) => Ok(Value::bool(*b)),
-        Json::Object(o) => {
-            if let Some(id) = o.get("null").and_then(Json::as_u64) {
-                return Ok(Value::null(id));
-            }
-            Err(format!("unsupported value {j}"))
-        }
-        other => Err(format!("unsupported value {other}")),
-    }
+/// Open a fresh `--store` directory for a `chase`/`exchange` run.
+fn create_store(
+    store_opts: &Option<(std::path::PathBuf, StoreOptions)>,
+    mode: StoreMode,
+    mapping_text: &str,
+    src: &Instance,
+) -> Result<Option<Store>, String> {
+    store_opts
+        .as_ref()
+        .map(|(dir, opts)| Store::create(dir, mode, mapping_text, src, *opts))
+        .transpose()
+        .map_err(|e| e.to_string())
 }
 
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Const(dex::relational::Constant::Int(i)) => json!(i),
-        Value::Const(dex::relational::Constant::Str(s)) => json!(s),
-        Value::Const(dex::relational::Constant::Bool(b)) => json!(b),
-        Value::Null(n) => json!({ "null": n.0 }),
-        Value::Skolem(f, args) => json!({
-            "skolem": f.as_str(),
-            "args": args.iter().map(value_to_json).collect::<Vec<_>>(),
-        }),
-    }
-}
-
-fn render_instance(inst: &Instance) -> String {
-    let mut obj = Map::new();
-    for rel in inst.relations() {
-        if rel.is_empty() {
-            continue;
-        }
-        let rows: Vec<Json> = rel
-            .iter()
-            .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
-            .collect();
-        obj.insert(rel.name().to_string(), Json::Array(rows));
-    }
-    serde_json::to_string_pretty(&Json::Object(obj)).expect("serializable")
+/// Pretty-print a JSON document for stdout.
+fn pretty(j: &Json) -> String {
+    serde_json::to_string_pretty(j).expect("serializable")
 }

@@ -157,6 +157,49 @@ fn malformed_budget_values_are_usage_errors() {
     }
 }
 
+/// The governor's budget is the only round cap: `--max-rounds` above
+/// the 10 000-round default ceiling is honoured, not cut short by a
+/// hidden second cap.
+#[test]
+fn max_rounds_above_the_default_ceiling_is_honoured() {
+    let src = write_tmp("rc-src.json", br#"{"Emp": [["a","b"]]}"#);
+    let out = dexcli()
+        .arg("chase")
+        .arg(repo_file("examples/mappings/bad_non_terminating.dex"))
+        .arg(&src)
+        .args(["--max-rounds", "10005", "--stats", "--format", "json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let err: serde_json::Value =
+        serde_json::from_str(String::from_utf8(out.stderr).unwrap().trim()).unwrap();
+    assert_eq!(err["exhausted"]["reason"].as_str(), Some("rounds"));
+    assert_eq!(
+        err["exhausted"]["rounds_committed"].as_u64(),
+        Some(10006),
+        "a run may commit exactly --max-rounds rounds; one more trips"
+    );
+}
+
+/// `query` rejects flags it does not know, like every other command,
+/// instead of silently ignoring them.
+#[test]
+fn query_rejects_unknown_flags() {
+    for extra in [&["--bogus-flag"][..], &["--stats", "--format", "json"]] {
+        let out = dexcli()
+            .arg("query")
+            .arg(repo_file("examples/mappings/employees.dex"))
+            .arg(repo_file("examples/instances/employees_small.json"))
+            .arg("q(x) :- Worker(x, d, m)")
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown flag"), "{extra:?}: {err}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The exit-code contract, end to end
 // ---------------------------------------------------------------------
