@@ -3,8 +3,9 @@
 //! Surfaces [`dex_core::precheck()`]'s static prediction of the lens
 //! compiler's verdict as diagnostics, so `dexcli lint` can say *before
 //! compiling* whether `compile()` will accept the mapping and with what
-//! per-tgd fidelity. A property test in this crate pins the agreement
-//! between the prediction and the real compiler.
+//! per-tgd fidelity. The prediction is the compiler's own first pass; a
+//! property test in this crate guards the one refusal it predicts from
+//! outside that pass (DEX206, the lens-validation tail).
 
 use crate::diagnostic::{Code, Diagnostic, Witness};
 use dex_core::{precheck, Fidelity, PrecheckReason};

@@ -6,14 +6,16 @@
 //! * `DEX301` — [`dex_ops::compose()`] refuses operands with target
 //!   dependencies;
 //! * `DEX302` — [`dex_ops::maximum_recovery`] requires every st-tgd to
-//!   have a single-atom, repeat-free, all-variable right-hand side.
+//!   have a single-atom, repeat-free, all-variable right-hand side; the
+//!   pass renders [`dex_ops::recovery_obstacles`], the check
+//!   `maximum_recovery` itself refuses through.
 //!
 //! Both are informational: a mapping need not be composable or
 //! invertible to be useful for exchange.
 
 use crate::diagnostic::{Code, Diagnostic, Witness};
-use dex_logic::{Mapping, SourceMap, Term};
-use std::collections::BTreeSet;
+use dex_logic::{Mapping, SourceMap};
+use dex_ops::{recovery_obstacles, RecoveryObstacle};
 
 /// Run the operator prechecks.
 pub fn ops_pass(mapping: &Mapping, spans: Option<&SourceMap>) -> Vec<Diagnostic> {
@@ -32,34 +34,30 @@ pub fn ops_pass(mapping: &Mapping, spans: Option<&SourceMap>) -> Vec<Diagnostic>
         );
     }
 
-    for (i, tgd) in mapping.st_tgds().iter().enumerate() {
+    let obstacles = recovery_obstacles(mapping);
+    for group in obstacles.chunk_by(|a, b| a.tgd() == b.tgd()) {
+        let i = group[0].tgd();
         let span = spans.and_then(|s| s.st_tgds.get(i).copied());
-        if tgd.rhs.len() != 1 {
-            out.push(
-                Diagnostic::new(
-                    Code::Dex302,
-                    format!(
-                        "st-tgd #{i} has a {}-atom right-hand side; maximum_recovery() \
-                         supports only single-atom conclusions",
-                        tgd.rhs.len()
-                    ),
-                )
-                .with_span(span),
-            );
-            continue;
-        }
-        let atom = &tgd.rhs[0];
-        let mut seen = BTreeSet::new();
         let mut repeated: Vec<dex_relational::Name> = Vec::new();
         let mut non_var = false;
-        for t in &atom.args {
-            match t {
-                Term::Var(v) => {
-                    if !seen.insert(v.clone()) && !repeated.contains(v) {
-                        repeated.push(v.clone());
+        for o in group {
+            match o {
+                RecoveryObstacle::MultiAtom { atoms, .. } => out.push(
+                    Diagnostic::new(
+                        Code::Dex302,
+                        format!(
+                            "st-tgd #{i} has a {atoms}-atom right-hand side; maximum_recovery() \
+                             supports only single-atom conclusions"
+                        ),
+                    )
+                    .with_span(span),
+                ),
+                RecoveryObstacle::RepeatedVar { var, .. } => {
+                    if !repeated.contains(var) {
+                        repeated.push(var.clone());
                     }
                 }
-                _ => non_var = true,
+                RecoveryObstacle::NonVariable { .. } => non_var = true,
             }
         }
         if !repeated.is_empty() {

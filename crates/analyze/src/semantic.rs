@@ -751,98 +751,7 @@ pub fn optimize(mapping: &Mapping) -> OptimizeOutcome {
 // Rendering (parseable `.dex` text)                                 //
 // ---------------------------------------------------------------- //
 
-fn side_dex(atoms: &[Atom]) -> String {
-    atoms
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(" & ")
-}
-
-/// Render a tgd as one parseable `.dex` rule line (no trailing
-/// newline), including the terminating `;` — the form rule spans
-/// cover, so `--fix` replacements slot in exactly.
-pub fn tgd_dex(tgd: &StTgd) -> String {
-    format!("{} -> {};", side_dex(&tgd.lhs), side_dex(&tgd.rhs))
-}
-
-/// Render an egd as one parseable `.dex` rule line (see [`tgd_dex`]).
-pub fn egd_dex(egd: &Egd) -> String {
-    let eqs = egd
-        .equalities
-        .iter()
-        .map(|(a, b)| format!("{a} = {b}"))
-        .collect::<Vec<_>>()
-        .join(" & ");
-    format!("{} -> {};", side_dex(&egd.lhs), eqs)
-}
-
-/// The egds a schema's key FDs expand to (the `key R(a);` shorthand).
-fn key_expanded_egds(schema: &Schema) -> Vec<Egd> {
-    let mut out = Vec::new();
-    for rel in schema.relations() {
-        let all: BTreeSet<Name> = rel.attr_names().cloned().collect();
-        for fd in rel.fds().iter() {
-            if fd.attributes() == all {
-                let key_positions: Vec<usize> = fd
-                    .lhs()
-                    .iter()
-                    .filter_map(|a| rel.position(a.as_str()))
-                    .collect();
-                out.extend(Egd::key(rel.name().as_str(), rel.arity(), &key_positions));
-            }
-        }
-    }
-    out
-}
-
-/// Render a whole mapping as parseable `.dex` text: declarations, key
-/// shorthands for FD-backed egds, rules, and explicit egd rules for
-/// everything the `key` lines do not regenerate. `dexcli optimize
-/// --emit` writes this; it must round-trip through `parse_mapping`.
-pub fn render_mapping_dex(m: &Mapping) -> String {
-    let mut out = String::new();
-    for rel in m.source().relations() {
-        let attrs = rel
-            .attr_names()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("source {}({});\n", rel.name(), attrs));
-    }
-    for rel in m.target().relations() {
-        let attrs = rel
-            .attr_names()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!("target {}({});\n", rel.name(), attrs));
-        let all: BTreeSet<Name> = rel.attr_names().cloned().collect();
-        for fd in rel.fds().iter() {
-            if fd.attributes() == all {
-                let key = fd
-                    .lhs()
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!("key {}({});\n", rel.name(), key));
-            }
-        }
-    }
-    for t in m.st_tgds().iter().chain(m.target_tgds()) {
-        out.push_str(&tgd_dex(t));
-        out.push('\n');
-    }
-    let from_keys = key_expanded_egds(m.target());
-    for e in m.target_egds() {
-        if !from_keys.contains(e) {
-            out.push_str(&egd_dex(e));
-            out.push('\n');
-        }
-    }
-    out
-}
+pub use dex_logic::{egd_dex, render_mapping_dex, tgd_dex};
 
 // ---------------------------------------------------------------- //
 // The lint pass                                                     //
@@ -1220,9 +1129,22 @@ mod tests {
     fn render_round_trips() {
         let src = "source Emp(name, dept);\ntarget Mgr(name, boss);\nkey Mgr(name);\n\
                    Emp(x, y) -> Mgr(x, z);\nMgr(x, y) & Mgr(y, z) -> x = x;";
-        let a = m(src);
-        let rendered = render_mapping_dex(&a);
-        let back = parse_mapping(&rendered).unwrap_or_else(|e| panic!("{rendered}\n{e:?}"));
-        assert_eq!(a, back, "{rendered}");
+        let mut mappings = vec![("inline".to_string(), m(src))];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/mappings");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "dex") {
+                if let Ok(parsed) = parse_mapping(&std::fs::read_to_string(&path).unwrap()) {
+                    mappings.push((path.display().to_string(), parsed));
+                }
+            }
+        }
+        assert!(mappings.len() > 10, "the example corpus went missing");
+        for (name, a) in mappings {
+            let rendered = render_mapping_dex(&a);
+            let back =
+                parse_mapping(&rendered).unwrap_or_else(|e| panic!("{name}:\n{rendered}\n{e:?}"));
+            assert_eq!(a, back, "{name}:\n{rendered}");
+        }
     }
 }

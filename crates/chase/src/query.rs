@@ -107,12 +107,10 @@ impl UnionQuery {
 }
 
 /// Certain answers by naive evaluation over a universal solution: keep
-/// only the all-constant answer tuples.
+/// only the all-constant answer tuples. The streaming evaluation of
+/// [`certain_answers_governed`] under an unlimited governor.
 pub fn certain_answers(q: &ConjunctiveQuery, universal_solution: &Instance) -> BTreeSet<Tuple> {
-    q.eval(universal_solution)
-        .into_iter()
-        .filter(Tuple::is_ground)
-        .collect()
+    certain_answers_governed(q, universal_solution, &Governor::unlimited()).0
 }
 
 /// Certain answers of a union of conjunctive queries.

@@ -21,7 +21,9 @@
 //! (with an insertion-routing hole). The compiler REFUSES (with
 //! reasons) anything it cannot translate faithfully, and reports
 //! per-tgd fidelity — the executable form of the paper's requested
-//! “completeness proof of that compiler”.
+//! “completeness proof of that compiler”. Both come from one first
+//! pass (`classify`) that [`crate::precheck()`] reports as data, so
+//! lint's prediction and the compiler's verdict cannot drift apart.
 
 use crate::error::CoreError;
 use crate::template::{
@@ -57,8 +59,8 @@ fn prepend(holes: &mut [PendingHole], step: Step) {
 /// The shape of one target atom: which positions are determined,
 /// constant, or existential.
 #[derive(PartialEq, Eq, Debug, Clone)]
-struct TargetShape {
-    rel: Name,
+pub(crate) struct TargetShape {
+    pub(crate) rel: Name,
     /// `(position, attr)` for frontier-variable positions.
     frontier: Vec<(usize, Name)>,
     /// `(position, attr, constant)` positions.
@@ -70,10 +72,196 @@ struct TargetShape {
     copies: Vec<(usize, Name, Name)>,
 }
 
-struct Contribution {
-    source_expr: RelLensExpr,
-    shape: TargetShape,
-    holes: Vec<PendingHole>,
+/// The first pass's verdict on one st-tgd.
+pub(crate) struct TgdClass {
+    /// The relation of every premise atom that repeats an earlier one
+    /// (self-joins need aliasing, which the lens trees lack: they
+    /// address base tables by name).
+    pub(crate) self_joins: Vec<Name>,
+    /// Indices of the premise atoms that carry a function term.
+    pub(crate) premise_funcs: Vec<usize>,
+    /// Per conclusion atom: its shape, or `Err(n)` when it carries `n`
+    /// function terms (SO-tgds run under the chase, not lenses).
+    pub(crate) conclusions: Vec<Result<TargetShape, usize>>,
+    /// `Approximate` when an existential is shared between conclusion
+    /// atoms: the compiled lenses lose the correlation.
+    pub(crate) fidelity: Fidelity,
+}
+
+impl TgdClass {
+    /// The conclusion shapes, when no atom of the tgd carries a
+    /// function term.
+    pub(crate) fn shapes(&self) -> Option<Vec<&TargetShape>> {
+        if !self.premise_funcs.is_empty() {
+            return None;
+        }
+        self.conclusions.iter().map(|c| c.as_ref().ok()).collect()
+    }
+}
+
+/// Tgds producing one relation with different shapes: a single view
+/// lens cannot serve both.
+pub(crate) struct ShapeConflict {
+    pub(crate) relation: Name,
+    /// The tgd that first produces the relation.
+    pub(crate) reference_tgd: usize,
+    /// Every tgd with a dissenting conclusion, once each, in order.
+    pub(crate) dissenters: Vec<usize>,
+    reference: TargetShape,
+    /// The first dissenting shape.
+    dissent: TargetShape,
+}
+
+/// The compiler's first pass over a mapping: the fragment rules
+/// applied once, as data. [`compile`] renders it into refusal reasons
+/// and lenses; [`crate::precheck()`] reports it as structured reasons.
+pub(crate) struct Classified {
+    /// How many target tgds the mapping has (none compile).
+    pub(crate) target_tgds: usize,
+    /// Aligned with `mapping.st_tgds()`.
+    pub(crate) tgds: Vec<TgdClass>,
+    /// Shape conflicts among tgds free of function terms, by relation.
+    pub(crate) conflicts: Vec<ShapeConflict>,
+}
+
+/// Run the first pass. Assumes the tgds fit their schemas, as every
+/// [`Mapping`] constructor checks; it never panics when they do not.
+pub(crate) fn classify(mapping: &Mapping) -> Classified {
+    let tgds: Vec<TgdClass> = mapping
+        .st_tgds()
+        .iter()
+        .map(|tgd| classify_tgd(mapping, tgd))
+        .collect();
+
+    let mut reference: BTreeMap<&Name, (usize, &TargetShape)> = BTreeMap::new();
+    let mut conflicts: BTreeMap<Name, ShapeConflict> = BTreeMap::new();
+    for (ti, class) in tgds.iter().enumerate() {
+        for shape in class.shapes().unwrap_or_default() {
+            let &mut (first, ref_shape) = reference.entry(&shape.rel).or_insert((ti, shape));
+            if ref_shape == shape {
+                continue;
+            }
+            let c = conflicts
+                .entry(shape.rel.clone())
+                .or_insert_with(|| ShapeConflict {
+                    relation: shape.rel.clone(),
+                    reference_tgd: first,
+                    dissenters: vec![],
+                    reference: ref_shape.clone(),
+                    dissent: shape.clone(),
+                });
+            if c.dissenters.last() != Some(&ti) {
+                c.dissenters.push(ti);
+            }
+        }
+    }
+
+    Classified {
+        target_tgds: mapping.target_tgds().len(),
+        tgds,
+        conflicts: conflicts.into_values().collect(),
+    }
+}
+
+fn classify_tgd(mapping: &Mapping, tgd: &StTgd) -> TgdClass {
+    let mut lhs_rels = BTreeSet::new();
+    let self_joins = tgd
+        .lhs
+        .iter()
+        .filter(|a| !lhs_rels.insert(&a.relation))
+        .map(|a| a.relation.clone())
+        .collect();
+    let premise_funcs = (0..tgd.lhs.len())
+        .filter(|&k| tgd.lhs[k].has_func())
+        .collect();
+
+    let lhs_vars: BTreeSet<Name> = tgd.lhs_vars().into_iter().collect();
+    let conclusions = tgd
+        .rhs
+        .iter()
+        .map(|atom| classify_conclusion(mapping, &lhs_vars, atom))
+        .collect();
+
+    // Counting each variable once per atom: a repeat inside one atom is
+    // a copy, not a lost correlation.
+    let mut shared: BTreeMap<Name, usize> = BTreeMap::new();
+    if tgd.rhs.len() > 1 {
+        for atom in &tgd.rhs {
+            for v in atom.variables() {
+                if !lhs_vars.contains(&v) {
+                    *shared.entry(v).or_default() += 1;
+                }
+            }
+        }
+    }
+    let shared: Vec<String> = shared
+        .into_iter()
+        .filter(|(_, n)| *n > 1)
+        .map(|(v, _)| {
+            format!(
+                "existential variable `{v}` is shared between target atoms; the \
+                 compiled lenses invent its value independently per relation"
+            )
+        })
+        .collect();
+
+    TgdClass {
+        self_joins,
+        premise_funcs,
+        conclusions,
+        fidelity: if shared.is_empty() {
+            Fidelity::Exact
+        } else {
+            Fidelity::Approximate(shared)
+        },
+    }
+}
+
+/// Classify a conclusion atom's positions against its target schema.
+fn classify_conclusion(
+    mapping: &Mapping,
+    lhs_vars: &BTreeSet<Name>,
+    atom: &dex_logic::Atom,
+) -> Result<TargetShape, usize> {
+    let funcs = atom.args.iter().filter(|t| t.has_func()).count();
+    if funcs > 0 {
+        return Err(funcs);
+    }
+    let mut shape = TargetShape {
+        rel: atom.relation.clone(),
+        frontier: vec![],
+        consts: vec![],
+        existentials: vec![],
+        copies: vec![],
+    };
+    let attrs = mapping
+        .target()
+        .relation(atom.relation.as_str())
+        .into_iter()
+        .flat_map(|s| s.attr_names());
+    // First-occurrence attribute per variable: a repeated variable
+    // (frontier or existential) makes its column a copy.
+    let mut first_attr: BTreeMap<&Name, &Name> = BTreeMap::new();
+    for (i, (t, attr)) in atom.args.iter().zip(attrs).enumerate() {
+        match t {
+            Term::Var(v) => {
+                if let Some(fa) = first_attr.get(v) {
+                    shape.copies.push((i, attr.clone(), (*fa).clone()));
+                } else {
+                    first_attr.insert(v, attr);
+                    if lhs_vars.contains(v) {
+                        shape.frontier.push((i, attr.clone()));
+                    } else {
+                        shape.existentials.push((i, attr.clone()));
+                    }
+                }
+            }
+            Term::Const(c) => shape.consts.push((i, attr.clone(), c.clone())),
+            // Counted above.
+            Term::Func(..) => {}
+        }
+    }
+    Ok(shape)
 }
 
 /// Compile a mapping's st-tgds into a lens template.
@@ -103,11 +291,15 @@ struct Contribution {
 /// assert!(m.is_solution(&src, &tgt));
 /// ```
 pub fn compile(mapping: &Mapping) -> Result<MappingTemplate, CoreError> {
-    let mut reasons: Vec<String> = Vec::new();
-    let mut contributions: Vec<(usize, Contribution)> = Vec::new();
-    let mut report = CompileReport::default();
+    for tgd in mapping.st_tgds() {
+        tgd.validate(mapping.source(), mapping.target())
+            .map_err(CoreError::Relational)?;
+    }
+    let pass = classify(mapping);
 
-    if !mapping.target_tgds().is_empty() {
+    // Render the first pass's refusals, rule by rule.
+    let mut reasons: Vec<String> = Vec::new();
+    if pass.target_tgds > 0 {
         reasons.push(
             "target tgds (within-target implications) are not part of the compilable \
              fragment; enforce them with the chase instead. Target egds (keys) ARE \
@@ -115,101 +307,70 @@ pub fn compile(mapping: &Mapping) -> Result<MappingTemplate, CoreError> {
                 .into(),
         );
     }
-
-    for (ti, tgd) in mapping.st_tgds().iter().enumerate() {
-        let mut tgd_reasons: Vec<String> = Vec::new();
-
-        // Self-joins in the premise are outside the fragment (the lens
-        // trees address base tables by name).
-        let mut lhs_rels = BTreeSet::new();
-        for a in &tgd.lhs {
-            if !lhs_rels.insert(a.relation.clone()) {
-                reasons.push(format!(
-                    "tgd `{tgd}` joins relation `{}` with itself; self-joins need aliasing, \
-                     which the lens fragment does not support",
-                    a.relation
-                ));
+    for (tgd, class) in mapping.st_tgds().iter().zip(&pass.tgds) {
+        for rel in &class.self_joins {
+            reasons.push(format!(
+                "tgd `{tgd}` joins relation `{rel}` with itself; self-joins need aliasing, \
+                 which the lens fragment does not support"
+            ));
+        }
+        for (atom, conclusion) in tgd.rhs.iter().zip(&class.conclusions) {
+            match (conclusion, class.premise_funcs.first()) {
+                (Err(funcs), _) => reasons.extend((0..*funcs).map(|_| {
+                    format!(
+                        "tgd `{tgd}` has a function term in `{atom}`; SO-tgds are executed \
+                         by the chase, not compiled to lenses"
+                    )
+                })),
+                (Ok(_), Some(&k)) => reasons.push(format!(
+                    "function term in premise atom `{}` of `{tgd}`",
+                    tgd.lhs[k]
+                )),
+                (Ok(_), None) => {}
             }
         }
-
-        // Shared existentials across target atoms lose correlation.
-        if tgd.rhs.len() > 1 {
-            let ex: BTreeSet<Name> = tgd.existential_vars().into_iter().collect();
-            let mut counts: BTreeMap<Name, usize> = BTreeMap::new();
-            for atom in &tgd.rhs {
-                let mut vs = Vec::new();
-                atom.collect_vars(&mut vs);
-                for v in vs.into_iter().filter(|v| ex.contains(v)) {
-                    *counts.entry(v).or_default() += 1;
-                }
-            }
-            for (v, n) in counts {
-                if n > 1 {
-                    tgd_reasons.push(format!(
-                        "existential variable `{v}` is shared between target atoms; the \
-                         compiled lenses invent its value independently per relation"
-                    ));
-                }
-            }
-        }
-
-        for atom in &tgd.rhs {
-            match compile_target_atom(mapping, tgd, atom) {
-                Ok(c) => contributions.push((ti, c)),
-                Err(rs) => reasons.extend(rs),
-            }
-        }
-
-        report.entries.push((
-            tgd.to_string(),
-            if tgd_reasons.is_empty() {
-                Fidelity::Exact
-            } else {
-                Fidelity::Approximate(tgd_reasons)
-            },
-        ));
     }
-
     if !reasons.is_empty() {
         return Err(CoreError::Unsupported { reasons });
     }
+    if let Some(c) = pass.conflicts.first() {
+        return Err(CoreError::Unsupported {
+            reasons: vec![format!(
+                "tgds producing `{}` disagree on which columns are determined \
+                 ({:?} vs {:?}); a single view lens cannot serve both",
+                c.relation, c.reference, c.dissent
+            )],
+        });
+    }
 
-    // Group contributions by target relation and fold unions.
-    let mut by_rel: BTreeMap<Name, Vec<Contribution>> = BTreeMap::new();
-    for (_, c) in contributions {
-        by_rel.entry(c.shape.rel.clone()).or_default().push(c);
+    // One source lens per (tgd, conclusion atom), grouped by relation;
+    // the shapes of a group agree (no conflicts above).
+    let mut by_rel: BTreeMap<&Name, (&TargetShape, Vec<SourceLens>)> = BTreeMap::new();
+    for (tgd, class) in mapping.st_tgds().iter().zip(&pass.tgds) {
+        for (atom, shape) in tgd.rhs.iter().zip(class.shapes().unwrap_or_default()) {
+            let lens = source_lens(mapping, tgd, atom, shape)?;
+            by_rel
+                .entry(&shape.rel)
+                .or_insert((shape, vec![]))
+                .1
+                .push(lens);
+        }
     }
 
     let mut lenses = Vec::new();
     let mut holes: Vec<Hole> = Vec::new();
-    for (rel, contribs) in by_rel {
-        // All contributions must agree on the shape.
-        let shape = contribs[0].shape.clone();
-        for c in &contribs[1..] {
-            if c.shape != shape {
-                return Err(CoreError::Unsupported {
-                    reasons: vec![format!(
-                        "tgds producing `{rel}` disagree on which columns are determined \
-                         ({:?} vs {:?}); a single view lens cannot serve both",
-                        shape, c.shape
-                    )],
-                });
-            }
-        }
-
+    for (rel, (shape, contribs)) in by_rel {
+        let rel = rel.clone();
         // Fold source expressions with Union (insertion-routing holes).
         let mut iter = contribs.into_iter();
-        let Some(first) = iter.next() else {
+        let Some((mut source_expr, mut pending)) = iter.next() else {
             continue;
         };
-        let mut source_expr = first.source_expr;
-        let mut pending = first.holes;
-        for (k, c) in iter.enumerate() {
+        for (k, (expr, mut right_holes)) in iter.enumerate() {
             prepend(&mut pending, Step::Left);
-            let mut right_holes = c.holes;
             prepend(&mut right_holes, Step::Right);
             pending.extend(right_holes);
-            source_expr = source_expr.union(c.source_expr, UnionPolicy::InsertLeft);
+            source_expr = source_expr.union(expr, UnionPolicy::InsertLeft);
             pending.push(PendingHole {
                 question: format!(
                     "relation `{rel}` is produced by several rules (union #{k}); which \
@@ -349,6 +510,14 @@ pub fn compile(mapping: &Mapping) -> Result<MappingTemplate, CoreError> {
         });
     }
 
+    let report = CompileReport {
+        entries: mapping
+            .st_tgds()
+            .iter()
+            .zip(pass.tgds)
+            .map(|(tgd, class)| (tgd.to_string(), class.fidelity))
+            .collect(),
+    };
     let template = MappingTemplate {
         source: mapping.source().clone(),
         target: mapping.target().clone(),
@@ -393,90 +562,39 @@ pub fn compile(mapping: &Mapping) -> Result<MappingTemplate, CoreError> {
     Ok(template)
 }
 
-/// Compile one `(tgd, target atom)` pair into a contribution.
-fn compile_target_atom(
+/// A source lens with its policy holes.
+type SourceLens = (RelLensExpr, Vec<PendingHole>);
+
+/// The source lens of one `(tgd, conclusion atom)` pair, computing
+/// the atom's determined view.
+fn source_lens(
     mapping: &Mapping,
     tgd: &StTgd,
     atom: &dex_logic::Atom,
-) -> Result<Contribution, Vec<String>> {
-    let mut errs = Vec::new();
-    let target_schema = match mapping.target().relation(atom.relation.as_str()) {
-        Some(s) => s.clone(),
-        None => {
-            return Err(vec![format!(
-                "target relation `{}` missing from schema",
-                atom.relation
-            )])
-        }
-    };
-    let lhs_vars: BTreeSet<Name> = tgd.lhs_vars().into_iter().collect();
-
-    // Classify the target atom's positions.
-    let mut shape = TargetShape {
-        rel: atom.relation.clone(),
-        frontier: vec![],
-        consts: vec![],
-        existentials: vec![],
-        copies: vec![],
-    };
-    // First-occurrence attribute per variable (for repeated variables).
-    let mut first_attr: BTreeMap<Name, Name> = BTreeMap::new();
-    let mut frontier_vars: Vec<Name> = Vec::new();
-    for (i, t) in atom.args.iter().enumerate() {
-        let attr = target_schema.attrs()[i].0.clone();
-        match t {
-            Term::Var(v) if lhs_vars.contains(v.as_str()) => {
-                if let Some(fa) = first_attr.get(v.as_str()) {
-                    // Repeated frontier variable: the column equals the
-                    // first occurrence — compiled as a copy, exactly.
-                    shape.copies.push((i, attr, fa.clone()));
-                    continue;
-                }
-                first_attr.insert(v.clone(), attr.clone());
-                shape.frontier.push((i, attr));
-                frontier_vars.push(v.clone());
-            }
-            Term::Var(v) => {
-                if let Some(fa) = first_attr.get(v.as_str()) {
-                    // Repeated existential: both columns carry the same
-                    // invented value — also a copy.
-                    shape.copies.push((i, attr, fa.clone()));
-                    continue;
-                }
-                first_attr.insert(v.clone(), attr.clone());
-                shape.existentials.push((i, attr));
-            }
-            Term::Const(c) => shape.consts.push((i, attr, c.clone())),
-            Term::Func(..) => errs.push(format!(
-                "tgd `{tgd}` has a function term in `{atom}`; SO-tgds are executed by the \
-                 chase, not compiled to lenses"
-            )),
-        }
-    }
-    if !errs.is_empty() {
-        return Err(errs);
-    }
+    shape: &TargetShape,
+) -> Result<SourceLens, CoreError> {
+    // The variables behind the frontier columns, in target-atom order.
+    let frontier_vars: Vec<Name> = shape
+        .frontier
+        .iter()
+        .filter_map(|(i, _)| atom.args.get(*i).and_then(Term::as_var).cloned())
+        .collect();
 
     // Per-premise-atom lens: Base → (Select) → (Project) → (Rename).
-    let mut atom_exprs: Vec<(RelLensExpr, Vec<PendingHole>)> = Vec::new();
+    let mut atom_exprs: Vec<RelLensExpr> = Vec::new();
     for latom in &tgd.lhs {
-        let src_schema = match mapping.source().relation(latom.relation.as_str()) {
-            Some(s) => s.clone(),
-            None => {
-                return Err(vec![format!(
-                    "source relation `{}` missing from schema",
-                    latom.relation
-                )])
-            }
-        };
+        let src_schema = mapping
+            .source()
+            .expect_relation(latom.relation.as_str())
+            .map_err(CoreError::Relational)?;
         let mut expr = RelLensExpr::base(latom.relation.clone());
         let mut pred: Option<Expr> = None;
         // first occurrence attr per variable
         let mut first_attr: BTreeMap<Name, Name> = BTreeMap::new();
         let mut kept: Vec<Name> = Vec::new(); // original attr names to keep
         let mut dropped: Vec<(Name, UpdatePolicy)> = Vec::new();
-        for (i, t) in latom.args.iter().enumerate() {
-            let attr = src_schema.attrs()[i].0.clone();
+        for (t, attr) in latom.args.iter().zip(src_schema.attr_names()) {
+            let attr = attr.clone();
             match t {
                 Term::Var(v) => {
                     if let Some(fa) = first_attr.get(v.as_str()) {
@@ -500,11 +618,9 @@ fn compile_target_atom(
                     });
                     dropped.push((attr, UpdatePolicy::Const(c.clone())));
                 }
-                Term::Func(..) => {
-                    return Err(vec![format!(
-                        "function term in premise atom `{latom}` of `{tgd}`"
-                    )])
-                }
+                // The first pass refuses function terms before any lens
+                // is built.
+                Term::Func(..) => {}
             }
         }
         if let Some(p) = pred {
@@ -532,20 +648,20 @@ fn compile_target_atom(
                 renaming: renames.into_iter().collect(),
             };
         }
-        atom_exprs.push((expr, Vec::new()));
+        atom_exprs.push(expr);
     }
 
     // Join the premise atoms (tgd joins = natural joins on variable
     // columns).
     let mut iter = atom_exprs.into_iter();
-    let Some((mut source_expr, mut holes)) = iter.next() else {
-        return Err(vec![format!("tgd `{tgd}` has an empty premise")]);
+    let Some(mut source_expr) = iter.next() else {
+        return Err(CoreError::Unsupported {
+            reasons: vec![format!("tgd `{tgd}` has an empty premise")],
+        });
     };
-    for (k, (e, hs)) in iter.enumerate() {
+    let mut holes: Vec<PendingHole> = Vec::new();
+    for (k, e) in iter.enumerate() {
         prepend(&mut holes, Step::Left);
-        let mut right = hs;
-        prepend(&mut right, Step::Right);
-        holes.extend(right);
         source_expr = source_expr.join(e, JoinPolicy::DeleteBoth);
         holes.push(PendingHole {
             question: format!(
@@ -602,11 +718,7 @@ fn compile_target_atom(
         };
     }
 
-    Ok(Contribution {
-        source_expr,
-        shape,
-        holes,
-    })
+    Ok((source_expr, holes))
 }
 
 fn needs_reorder(all_vars: &[Name], frontier: &[Name]) -> bool {

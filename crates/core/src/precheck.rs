@@ -2,32 +2,31 @@
 //! refusal reasons exposed as inspectable data, without building any
 //! lens machinery.
 //!
-//! [`precheck`] walks a [`Mapping`] and answers two questions the
-//! compiler would otherwise only answer by running:
+//! [`precheck`] reports the compiler's own first pass
+//! ([`crate::compiler`]), so it answers by construction the two
+//! questions the compiler otherwise only answers by running:
 //!
 //! 1. **Will [`crate::compile`] accept?** Every fragment restriction
-//!    the compiler enforces is mirrored as a structured
-//!    [`PrecheckReason`] carrying the offending tgd index, so
-//!    diagnostics can point at source spans.
+//!    is a structured [`PrecheckReason`] carrying the offending tgd
+//!    index, so diagnostics can point at source spans.
 //! 2. **With what fidelity?** Each st-tgd is classified
-//!    [`Fidelity::Exact`] or [`Fidelity::Approximate`] exactly as the
-//!    compiler's [`crate::CompileReport`] would.
+//!    [`Fidelity::Exact`] or [`Fidelity::Approximate`] — the very
+//!    values the compiler's [`crate::CompileReport`] carries.
 //!
-//! The agreement `precheck(m).accepts() ⇔ compile(m).is_ok()` (and the
-//! per-tgd fidelity agreement) is pinned by a property test in
-//! `dex-analyze` over generated mappings. `compile` ends with a
-//! lens-validation pass; its one *reachable* failure — a base relation
-//! appearing twice in a folded union lens — is mirrored here as
-//! [`PrecheckReason::DuplicateBase`]. Its remaining failure modes
-//! indicate compiler bugs, not fragment violations, and are not
-//! modeled.
+//! `compile` ends with a lens-validation pass, kept as a safety check.
+//! Its one *reachable* failure — a base relation appearing twice in a
+//! folded union lens — is predicted here as
+//! [`PrecheckReason::DuplicateBase`]; a property test in `dex-analyze`
+//! guards that prediction over generated mappings. The tail's other
+//! failure modes indicate compiler bugs, not fragment violations, and
+//! are not modeled.
 
+use crate::compiler::classify;
 use crate::template::Fidelity;
-use dex_logic::{Mapping, Term};
+use dex_logic::Mapping;
 use dex_relational::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// One structured reason why [`crate::compile`] will refuse a mapping.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -91,51 +90,13 @@ impl PrecheckReason {
     }
 }
 
-impl fmt::Display for PrecheckReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PrecheckReason::TargetTgds { count } => write!(
-                f,
-                "{count} target tgd(s) are outside the compilable fragment; \
-                 enforce them with the chase instead"
-            ),
-            PrecheckReason::SelfJoin { relation, .. } => write!(
-                f,
-                "premise joins relation `{relation}` with itself; self-joins need \
-                 aliasing, which the lens fragment does not support"
-            ),
-            PrecheckReason::FunctionTerm { atom, .. } => write!(
-                f,
-                "function term in `{atom}`; SO-tgds are executed by the chase, \
-                 not compiled to lenses"
-            ),
-            PrecheckReason::ShapeDisagreement { relation, tgds } => write!(
-                f,
-                "tgds {tgds:?} producing `{relation}` disagree on which columns \
-                 are determined; a single view lens cannot serve both"
-            ),
-            PrecheckReason::DuplicateBase {
-                relation,
-                source,
-                tgds,
-            } => write!(
-                f,
-                "source relation `{source}` feeds `{relation}` through several \
-                 conjuncts (tgds {tgds:?}); the union lens would mention the base \
-                 table twice, making put ambiguous"
-            ),
-        }
-    }
-}
-
 /// The precheck's full verdict.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct PrecheckReport {
     /// Every predicted refusal reason (empty iff `compile` accepts).
     pub reasons: Vec<PrecheckReason>,
-    /// Predicted fidelity of each st-tgd, aligned with
-    /// `mapping.st_tgds()`. `Approximate` lists the shared existential
-    /// variables, matching the compiler's report classes.
+    /// Fidelity of each st-tgd, aligned with `mapping.st_tgds()`: the
+    /// values the compiler's report carries.
     pub fidelity: Vec<Fidelity>,
 }
 
@@ -146,157 +107,64 @@ impl PrecheckReport {
     }
 }
 
-/// The statically computed shape of one target atom — which positions
-/// a produced relation gets from the frontier, constants, existentials,
-/// or earlier columns. Mirrors the compiler's internal classification;
-/// two tgds producing the same relation must agree on it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum PosKind {
-    Frontier,
-    Const(dex_relational::Constant),
-    Existential,
-    /// Copy of the first occurrence at the given earlier position.
-    CopyOf(usize),
-}
-
 /// Statically predict [`crate::compile`]'s verdict on a mapping.
 pub fn precheck(mapping: &Mapping) -> PrecheckReport {
+    let pass = classify(mapping);
     let mut reasons = Vec::new();
-    let mut fidelity = Vec::new();
-
-    if !mapping.target_tgds().is_empty() {
+    if pass.target_tgds > 0 {
         reasons.push(PrecheckReason::TargetTgds {
-            count: mapping.target_tgds().len(),
+            count: pass.target_tgds,
         });
     }
 
-    // (relation → (first tgd index, shape)) for disagreement checks;
-    // and the dissenters per relation, in discovery order.
-    let mut shapes: BTreeMap<Name, (usize, Vec<PosKind>)> = BTreeMap::new();
-    let mut disagreements: BTreeMap<Name, Vec<usize>> = BTreeMap::new();
-    // (target rel, source rel) → tgd index of each contribution whose
-    // premise reads the source relation. More than one entry means the
-    // folded union lens mentions the base table twice.
-    let mut base_uses: BTreeMap<(Name, Name), Vec<usize>> = BTreeMap::new();
-
-    for (ti, tgd) in mapping.st_tgds().iter().enumerate() {
-        // Self-joins in the premise.
-        let mut lhs_rels = BTreeSet::new();
-        for a in &tgd.lhs {
-            if !lhs_rels.insert(a.relation.clone()) {
-                reasons.push(PrecheckReason::SelfJoin {
-                    tgd: ti,
-                    relation: a.relation.clone(),
-                });
-            }
-        }
-
-        // Function terms anywhere in the rule.
-        let mut func_atoms = false;
-        for atom in tgd.lhs.iter().chain(tgd.rhs.iter()) {
-            if atom.args.iter().any(|t| matches!(t, Term::Func(..))) {
-                reasons.push(PrecheckReason::FunctionTerm {
+    for (ti, (tgd, class)) in mapping.st_tgds().iter().zip(&pass.tgds).enumerate() {
+        reasons.extend(class.self_joins.iter().map(|rel| PrecheckReason::SelfJoin {
+            tgd: ti,
+            relation: rel.clone(),
+        }));
+        let premise = class.premise_funcs.iter().map(|&k| &tgd.lhs[k]);
+        let conclusion = tgd
+            .rhs
+            .iter()
+            .zip(&class.conclusions)
+            .filter(|(_, c)| c.is_err())
+            .map(|(atom, _)| atom);
+        reasons.extend(
+            premise
+                .chain(conclusion)
+                .map(|atom| PrecheckReason::FunctionTerm {
                     tgd: ti,
                     atom: atom.to_string(),
-                });
-                func_atoms = true;
-            }
-        }
+                }),
+        );
+    }
 
-        // Shared existentials: approximate iff an existential variable
-        // occurs in two or more distinct rhs atoms (the compiler counts
-        // each variable once per atom).
-        let ex: BTreeSet<Name> = tgd.existential_vars().into_iter().collect();
-        let mut shared: Vec<Name> = Vec::new();
-        if tgd.rhs.len() > 1 {
-            let mut counts: BTreeMap<Name, usize> = BTreeMap::new();
-            for atom in &tgd.rhs {
-                for v in atom.variables().into_iter().filter(|v| ex.contains(v)) {
-                    *counts.entry(v).or_default() += 1;
-                }
-            }
-            shared = counts
-                .into_iter()
-                .filter(|(_, n)| *n > 1)
-                .map(|(v, _)| v)
-                .collect();
+    reasons.extend(pass.conflicts.iter().map(|c| {
+        PrecheckReason::ShapeDisagreement {
+            relation: c.relation.clone(),
+            tgds: std::iter::once(c.reference_tgd)
+                .chain(c.dissenters.iter().copied())
+                .collect(),
         }
-        fidelity.push(if shared.is_empty() {
-            Fidelity::Exact
-        } else {
-            Fidelity::Approximate(
-                shared
-                    .into_iter()
-                    .map(|v| {
-                        format!(
-                            "existential variable `{v}` is shared between target atoms; the \
-                             compiled lenses invent its value independently per relation"
-                        )
-                    })
-                    .collect(),
-            )
-        });
+    }));
 
-        // Shape classification per target atom — skipped when the tgd
-        // carries function terms, matching the compiler (which refuses
-        // the atom before shaping it).
-        if func_atoms {
-            continue;
-        }
-        let lhs_vars: BTreeSet<Name> = tgd.lhs_vars().into_iter().collect();
-        for atom in &tgd.rhs {
-            let mut shape: Vec<PosKind> = Vec::with_capacity(atom.args.len());
-            let mut first_pos: BTreeMap<Name, usize> = BTreeMap::new();
-            for (i, t) in atom.args.iter().enumerate() {
-                match t {
-                    Term::Var(v) => {
-                        if let Some(&fp) = first_pos.get(v.as_str()) {
-                            shape.push(PosKind::CopyOf(fp));
-                        } else {
-                            first_pos.insert(v.clone(), i);
-                            shape.push(if lhs_vars.contains(v.as_str()) {
-                                PosKind::Frontier
-                            } else {
-                                PosKind::Existential
-                            });
-                        }
-                    }
-                    Term::Const(c) => shape.push(PosKind::Const(c.clone())),
-                    Term::Func(..) => unreachable!("func tgds skipped above"),
-                }
-            }
-            match shapes.get(&atom.relation) {
-                None => {
-                    shapes.insert(atom.relation.clone(), (ti, shape));
-                }
-                Some((_, reference)) if *reference == shape => {}
-                Some(_) => disagreements
-                    .entry(atom.relation.clone())
-                    .or_default()
-                    .push(ti),
-            }
-            // Each conjunct producing `atom.relation` contributes a lens
-            // tree over every premise relation of its rule.
+    // (target rel, source rel) → tgd index of each contribution whose
+    // premise reads the source relation: each conjunct producing a
+    // relation contributes a lens tree over every premise relation of
+    // its rule. More than one entry means the folded union lens
+    // mentions the base table twice.
+    let mut base_uses: BTreeMap<(Name, Name), Vec<usize>> = BTreeMap::new();
+    for (ti, (tgd, class)) in mapping.st_tgds().iter().zip(&pass.tgds).enumerate() {
+        let lhs_rels: BTreeSet<&Name> = tgd.lhs.iter().map(|a| &a.relation).collect();
+        for shape in class.shapes().unwrap_or_default() {
             for src in &lhs_rels {
                 base_uses
-                    .entry((atom.relation.clone(), src.clone()))
+                    .entry((shape.rel.clone(), (*src).clone()))
                     .or_default()
                     .push(ti);
             }
         }
     }
-
-    for (rel, mut dissenters) in disagreements {
-        let first = shapes[&rel].0;
-        dissenters.dedup();
-        let mut tgds = vec![first];
-        tgds.extend(dissenters);
-        reasons.push(PrecheckReason::ShapeDisagreement {
-            relation: rel,
-            tgds,
-        });
-    }
-
     for ((rel, source), tgds) in base_uses {
         if tgds.len() > 1 {
             reasons.push(PrecheckReason::DuplicateBase {
@@ -307,7 +175,10 @@ pub fn precheck(mapping: &Mapping) -> PrecheckReport {
         }
     }
 
-    PrecheckReport { reasons, fidelity }
+    PrecheckReport {
+        reasons,
+        fidelity: pass.tgds.into_iter().map(|c| c.fidelity).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{request, try_request, COPY};
+use common::{request, try_request, TempDir, COPY};
 use dex_relational::fail::{arm, clear, exclusive, FailAction, SERVER_SITES};
 use dexd::{Catalog, ServerConfig, ServerHandle};
 
@@ -54,12 +54,11 @@ fn check_faulted_reply(site: &str, action: FailAction, reply: Option<common::Rep
 fn server_fail_matrix_leaves_the_daemon_serving() {
     let _gate = exclusive();
     clear();
-    let root = std::env::temp_dir().join(format!("dexd-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("dexd-chaos");
 
     let config = ServerConfig {
         workers: 2,
-        store_root: Some(root.clone()),
+        store_root: Some(root.to_path_buf()),
         ..ServerConfig::default()
     };
     let catalog = Catalog::from_texts(&[("copy", COPY)]).expect("catalog");
@@ -119,5 +118,4 @@ fn server_fail_matrix_leaves_the_daemon_serving() {
     srv.shutdown();
     let report = dex_store::fsck::fsck(std::path::Path::new(&dir)).expect("fsck runs");
     assert!(report.is_clean(), "store survives the chaos run: {report}");
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -8,6 +8,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+#[path = "../../../../tests/common/mod.rs"]
+mod temp_dir;
+
+#[allow(unused_imports)] // not every test binary needs a scratch directory
+pub use temp_dir::TempDir;
+
 /// One parsed response.
 #[derive(Debug)]
 pub struct Reply {

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{request, try_request, COPY, EMPLOYEES, RUNAWAY};
+use common::{request, try_request, TempDir, COPY, EMPLOYEES, RUNAWAY};
 use dexd::{Catalog, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -386,9 +386,10 @@ fn drain_answers_503_then_completes_within_deadline() {
 
 #[test]
 fn persisted_chase_writes_a_clean_store() {
-    let root = std::env::temp_dir().join(format!("dexd-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let srv = spawn(&[("emp", EMPLOYEES)], |c| c.store_root = Some(root.clone()));
+    let root = TempDir::new("dexd-store");
+    let srv = spawn(&[("emp", EMPLOYEES)], |c| {
+        c.store_root = Some(root.to_path_buf())
+    });
     let addr = srv.addr();
     let body =
         r#"{"source": {"Emp": [["ann", "eng"]], "Dept": [["eng", "bob"]]}, "persist": true}"#;
@@ -405,7 +406,9 @@ fn persisted_chase_writes_a_clean_store() {
 
     // Restart against the same store root: the run counter must seed
     // past the predecessor's directories, not collide with `run-0`.
-    let srv = spawn(&[("emp", EMPLOYEES)], |c| c.store_root = Some(root.clone()));
+    let srv = spawn(&[("emp", EMPLOYEES)], |c| {
+        c.store_root = Some(root.to_path_buf())
+    });
     let resp2 = request(srv.addr(), "POST", "/v1/mappings/emp/chase", body);
     assert_eq!(
         resp2.status, 200,
@@ -419,7 +422,6 @@ fn persisted_chase_writes_a_clean_store() {
         .to_string();
     assert_ne!(dir, dir2, "restarted daemon picks a fresh run directory");
     srv.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -528,17 +530,41 @@ fn transfer_encoding_chunked_is_refused_with_400() {
 
 #[test]
 fn uncompilable_mapping_still_serves_analysis_endpoints() {
-    // A mapping the lens compiler refuses (no key ⇒ depends on the
-    // compiler's rules) — use one with an unsafe existential join the
-    // compiler cannot lens. If it *does* compile, the test is vacuous
-    // but still passes the analysis half.
-    let srv = spawn(&[("emp", EMPLOYEES), ("copy", COPY)], |_| {});
+    // A premise self-join: the lens compiler refuses it, while lint and
+    // explain still answer.
+    let mapping = include_str!("../../../examples/mappings/bad_uncompilable.dex");
+    let srv = spawn(&[("selfjoin", mapping)], |_| {});
     let addr = srv.addr();
-    for name in ["emp", "copy"] {
-        let l = request(addr, "POST", &format!("/v1/mappings/{name}/lint"), "{}");
-        assert!(l.status == 200 || l.status == 422);
-        let e = request(addr, "POST", &format!("/v1/mappings/{name}/explain"), "{}");
-        assert_eq!(e.status, 200);
-    }
+
+    let c = request(addr, "POST", "/v1/mappings/selfjoin/compile", "{}");
+    assert_eq!(c.status, 422, "{}", c.raw_body);
+    assert_eq!(c.field("compiled").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        c.field("error.kind").and_then(|v| v.as_str()),
+        Some("uncompilable")
+    );
+    let message = c.field("error.message").and_then(|v| v.as_str()).unwrap();
+    assert!(
+        message.contains(
+            "tgd `∀x,y,z (S(x, y) ∧ S(y, z) → T(x, z))` joins relation `S` with itself; self-joins \
+             need aliasing, which the lens fragment does not support"
+        ),
+        "{message}"
+    );
+
+    // DEX201 is a warning: the mapping still lints with status 200.
+    let l = request(addr, "POST", "/v1/mappings/selfjoin/lint", "{}");
+    assert_eq!(l.status, 200, "{}", l.raw_body);
+    let diagnostics = l.field("diagnostics").and_then(|v| v.as_array()).unwrap();
+    assert!(
+        diagnostics
+            .iter()
+            .any(|d| d["code"].as_str() == Some("Dex201")),
+        "{}",
+        l.raw_body
+    );
+
+    let e = request(addr, "POST", "/v1/mappings/selfjoin/explain", "{}");
+    assert_eq!(e.status, 200, "{}", e.raw_body);
     srv.shutdown();
 }

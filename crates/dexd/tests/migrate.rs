@@ -7,21 +7,10 @@
 
 mod common;
 
-use common::{request, COPY};
+use common::{request, TempDir, COPY};
 use dex_store::{fsck, MigrateStatus, Migration, StoreOptions};
 use dexd::{Catalog, ServerConfig, ServerHandle};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn scratch(stem: &str) -> PathBuf {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dexd-migrate-{stem}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn spawn(specs: &[(&str, &str)], tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig::default();
@@ -40,8 +29,10 @@ fn persist_run(srv: &ServerHandle, root: &Path) -> PathBuf {
 
 #[test]
 fn migrate_endpoint_commits_and_shows_in_statz() {
-    let root = scratch("commit");
-    let srv = spawn(&[("emp", COPY)], |c| c.store_root = Some(root.clone()));
+    let root = TempDir::new("commit");
+    let srv = spawn(&[("emp", COPY)], |c| {
+        c.store_root = Some(root.to_path_buf())
+    });
     let dir = persist_run(&srv, &root);
 
     let body = r#"{"run": "run-0", "schema": "target B(x, y);\n"}"#;
@@ -90,8 +81,10 @@ fn migrate_refusals_are_typed() {
     assert_eq!(r.status, 400, "{}", r.raw_body);
     srv.shutdown();
 
-    let root = scratch("refuse");
-    let srv = spawn(&[("emp", COPY)], |c| c.store_root = Some(root.clone()));
+    let root = TempDir::new("refuse");
+    let srv = spawn(&[("emp", COPY)], |c| {
+        c.store_root = Some(root.to_path_buf())
+    });
     persist_run(&srv, &root);
     let addr = srv.addr();
     let post = |body: &str| request(addr, "POST", "/v1/mappings/emp/migrate", body);
@@ -196,8 +189,10 @@ fn migration_slot_quarantines_other_operations_and_readyz_reports_it() {
 
 #[test]
 fn drain_cancellation_suspends_migration_at_a_resumable_checkpoint() {
-    let root = scratch("drain");
-    let srv = spawn(&[("emp", COPY)], |c| c.store_root = Some(root.clone()));
+    let root = TempDir::new("drain");
+    let srv = spawn(&[("emp", COPY)], |c| {
+        c.store_root = Some(root.to_path_buf())
+    });
     let dir = persist_run(&srv, &root);
 
     // Trip the drain token before the migration starts: every governed

@@ -19,7 +19,7 @@
 
 use crate::error::EvolutionError;
 use crate::smo::{ColumnDefault, Smo};
-use dex_logic::{Atom, Egd, Mapping, SoTgd, StTgd, Term};
+use dex_logic::{Atom, Mapping, SoTgd, StTgd, Term};
 use dex_ops::compose;
 use dex_relational::{Instance, Name, RelSchema, Schema};
 use std::collections::{BTreeMap, BTreeSet};
@@ -458,7 +458,7 @@ pub fn compile_migration_checked(
         })
         .collect();
 
-    let egds = key_egds(new);
+    let egds = dex_logic::schema_key_egds(new);
     let mapping = Mapping::with_target_deps(source, new.clone(), retargeted, vec![], egds)
         .map_err(EvolutionError::Relational)?;
     Ok(Migration {
@@ -467,109 +467,13 @@ pub fn compile_migration_checked(
     })
 }
 
-/// Key egds of `schema`: one per relation whose FD set contains a key
-/// (an FD whose two sides together cover every attribute).
-fn key_egds(schema: &Schema) -> Vec<Egd> {
-    let mut out = Vec::new();
-    for rel in schema.relations() {
-        let all: BTreeSet<Name> = rel.attr_names().cloned().collect();
-        for fd in rel.fds().iter() {
-            if fd.attributes() == all {
-                let key_positions: Vec<usize> = fd
-                    .lhs()
-                    .iter()
-                    .filter_map(|a| rel.position(a.as_str()))
-                    .collect();
-                out.extend(Egd::key(rel.name().as_str(), rel.arity(), &key_positions));
-            }
-        }
-    }
-    out
-}
-
-/// Render a mapping back into parseable `.dex` text (`source`/
-/// `target`/`key` declarations plus rules). The migration machinery
-/// persists mapping text verbatim into stores and re-parses it on
-/// resume, so this must round-trip through `parse_mapping`.
-pub fn render_mapping_dex(m: &Mapping) -> String {
-    let mut out = String::new();
-    for rel in m.source().relations() {
-        out.push_str(&decl_line("source", rel));
-    }
-    for rel in m.target().relations() {
-        out.push_str(&decl_line("target", rel));
-        let all: BTreeSet<Name> = rel.attr_names().cloned().collect();
-        for fd in rel.fds().iter() {
-            if fd.attributes() == all {
-                let key = fd
-                    .lhs()
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!("key {}({});\n", rel.name(), key));
-            }
-        }
-    }
-    for t in m.st_tgds() {
-        out.push_str(&rule_line(&t.lhs, &t.rhs));
-    }
-    for t in m.target_tgds() {
-        out.push_str(&rule_line(&t.lhs, &t.rhs));
-    }
-    out
-}
-
-/// Render just a schema as `.dex` text (target declarations + keys):
-/// the meta text a migrated store carries, parseable back into a
-/// rule-less mapping whose target is the schema.
-pub fn render_schema_dex(schema: &Schema) -> String {
-    let mut out = String::new();
-    for rel in schema.relations() {
-        out.push_str(&decl_line("target", rel));
-        let all: BTreeSet<Name> = rel.attr_names().cloned().collect();
-        for fd in rel.fds().iter() {
-            if fd.attributes() == all {
-                let key = fd
-                    .lhs()
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!("key {}({});\n", rel.name(), key));
-            }
-        }
-    }
-    out
-}
-
-fn decl_line(kw: &str, rel: &RelSchema) -> String {
-    let attrs = rel
-        .attr_names()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{kw} {}({});\n", rel.name(), attrs)
-}
-
-fn rule_line(lhs: &[Atom], rhs: &[Atom]) -> String {
-    let side = |atoms: &[Atom]| {
-        atoms
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(" & ")
-    };
-    format!("{} -> {};\n", side(lhs), side(rhs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::diff::diff;
     use dex_chase::exchange;
-    use dex_logic::parse_mapping;
+    use dex_logic::{parse_mapping, render_mapping_dex};
     use dex_relational::{tuple, AttrType, Value};
 
     fn schema(decls: &[(&str, &[&str])]) -> Schema {

@@ -34,9 +34,10 @@ pub mod smo;
 pub use catalog::{CatColumn, CatTable, Catalog, ColumnId, TableId};
 pub use channel::{propagate, propagate_all};
 pub use compile::{
-    compile_migration, compile_migration_checked, prefix_instance, prefix_schema,
-    render_mapping_dex, render_schema_dex, version_prefix, Migration,
+    compile_migration, compile_migration_checked, prefix_instance, prefix_schema, version_prefix,
+    Migration,
 };
+pub use dex_logic::{render_mapping_dex, render_schema_dex};
 pub use diff::diff;
 pub use error::EvolutionError;
 pub use lens::{EvolutionLens, SmoLens};

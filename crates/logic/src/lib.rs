@@ -9,8 +9,8 @@
 //! * conjunctive-formula matching over instances (the evaluation engine
 //!   shared with the chase),
 //! * satisfaction checking — does a pair `(I, J)` satisfy a mapping?
-//! * a text parser and a paper-style pretty-printer for the mapping
-//!   language,
+//! * a text parser for the mapping language, its inverse `.dex`
+//!   printer, and a paper-style pretty-printer,
 //! * the **visual-correspondence compiler** (paper Figure 1): Clio-style
 //!   attribute arrows compiled into st-tgds.
 
@@ -23,6 +23,7 @@ pub mod correspondence;
 pub mod eval;
 pub mod mapping;
 pub mod parser;
+pub mod print;
 pub mod sotgd;
 pub mod span;
 pub mod term;
@@ -37,6 +38,9 @@ pub use mapping::Mapping;
 pub use parser::{
     parse_disj_tgd, parse_egd, parse_mapping, parse_mapping_with_spans, parse_query, parse_tgd,
     ParseError,
+};
+pub use print::{
+    egd_dex, key_egds, keys, render_mapping_dex, render_schema_dex, schema_key_egds, tgd_dex,
 };
 pub use sotgd::{SoClause, SoTgd};
 pub use span::{SourceMap, Span};

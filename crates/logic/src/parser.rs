@@ -37,6 +37,7 @@
 
 use crate::atom::Atom;
 use crate::mapping::Mapping;
+use crate::print::key_egds;
 use crate::span::{SourceMap, Span};
 use crate::term::Term;
 use crate::tgd::{DisjTgd, Egd, StTgd};
@@ -759,7 +760,7 @@ pub fn parse_mapping_with_spans(input: &str) -> Result<(Mapping, SourceMap), Par
             ));
         };
         let schema = if is_target { &mut target } else { &mut source };
-        let arity = rs.arity();
+        let key: Vec<Name> = attrs.iter().map(Name::new).collect();
         let key_positions: Vec<usize> = attrs
             .iter()
             .map(|a| {
@@ -775,7 +776,7 @@ pub fn parse_mapping_with_spans(input: &str) -> Result<(Mapping, SourceMap), Par
             .map(|(_, a)| a.clone())
             .collect();
         if !non_key.is_empty() {
-            let fd = Fd::new(attrs.iter().map(Name::new).collect::<Vec<_>>(), non_key);
+            let fd = Fd::new(key.clone(), non_key);
             let updated = rs
                 .clone()
                 .with_fd(fd)
@@ -786,7 +787,7 @@ pub fn parse_mapping_with_spans(input: &str) -> Result<(Mapping, SourceMap), Par
                 .map_err(|e| ParseError::at(span, e.to_string()))?;
         }
         if is_target {
-            for e in Egd::key(&rel, arity, &key_positions) {
+            for e in key_egds(&rs, &key) {
                 target_egds.push((e, span));
             }
         }

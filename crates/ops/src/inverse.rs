@@ -20,7 +20,7 @@ use dex_chase::{exchange, exchange_governed, ChaseOptions, ChaseOutcome};
 use dex_logic::{Atom, DisjTgd, Mapping, Term};
 use dex_relational::homomorphism::homomorphically_equivalent;
 use dex_relational::{ExhaustionReport, Governor, Instance, Name};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A recovery mapping from the target schema back to the source
@@ -52,6 +52,76 @@ impl fmt::Display for MaxRecovery {
         }
         Ok(())
     }
+}
+
+/// Why an st-tgd falls outside [`maximum_recovery`]'s fragment.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum RecoveryObstacle {
+    /// The conclusion does not have exactly one atom.
+    MultiAtom {
+        /// Index into `mapping.st_tgds()`.
+        tgd: usize,
+        /// How many conclusion atoms it has.
+        atoms: usize,
+    },
+    /// The conclusion atom repeats a variable (the recovery would need
+    /// per-disjunct equality guards).
+    RepeatedVar {
+        /// Index into `mapping.st_tgds()`.
+        tgd: usize,
+        /// Argument position of the repeat.
+        position: usize,
+        /// The repeated variable.
+        var: Name,
+    },
+    /// A conclusion argument is a constant or a function term.
+    NonVariable {
+        /// Index into `mapping.st_tgds()`.
+        tgd: usize,
+        /// Argument position of the non-variable term.
+        position: usize,
+    },
+}
+
+impl RecoveryObstacle {
+    /// The offending st-tgd's index.
+    pub fn tgd(&self) -> usize {
+        match self {
+            RecoveryObstacle::MultiAtom { tgd, .. }
+            | RecoveryObstacle::RepeatedVar { tgd, .. }
+            | RecoveryObstacle::NonVariable { tgd, .. } => *tgd,
+        }
+    }
+}
+
+/// [`maximum_recovery`]'s fragment check as data: every obstacle, in
+/// tgd order and then argument order. A multi-atom conclusion is one
+/// obstacle (its arguments are not scanned). Empty iff the mapping is
+/// in the fragment.
+pub fn recovery_obstacles(m: &Mapping) -> Vec<RecoveryObstacle> {
+    let mut out = Vec::new();
+    for (i, tgd) in m.st_tgds().iter().enumerate() {
+        let [atom] = tgd.rhs.as_slice() else {
+            out.push(RecoveryObstacle::MultiAtom {
+                tgd: i,
+                atoms: tgd.rhs.len(),
+            });
+            continue;
+        };
+        let mut seen = BTreeSet::new();
+        for (position, t) in atom.args.iter().enumerate() {
+            match t {
+                Term::Var(v) if seen.insert(v) => {}
+                Term::Var(v) => out.push(RecoveryObstacle::RepeatedVar {
+                    tgd: i,
+                    position,
+                    var: v.clone(),
+                }),
+                _ => out.push(RecoveryObstacle::NonVariable { tgd: i, position }),
+            }
+        }
+    }
+    out
 }
 
 /// Build the maximum recovery of `m` for the supported fragment.
@@ -86,42 +156,32 @@ impl fmt::Display for MaxRecovery {
 /// );
 /// ```
 pub fn maximum_recovery(m: &Mapping) -> Result<MaxRecovery, OpsError> {
-    // Group tgds by produced relation.
-    let mut by_rel: BTreeMap<Name, Vec<usize>> = BTreeMap::new();
-    for (i, tgd) in m.st_tgds().iter().enumerate() {
-        if tgd.rhs.len() != 1 {
-            return Err(OpsError::UnsupportedFragment {
-                operator: "maximum_recovery",
-                reason: format!(
+    if let Some(o) = recovery_obstacles(m).first() {
+        let tgd = &m.st_tgds()[o.tgd()];
+        return Err(OpsError::UnsupportedFragment {
+            operator: "maximum_recovery",
+            reason: match o {
+                RecoveryObstacle::MultiAtom { .. } => format!(
                     "tgd `{tgd}` has a multi-atom right-hand side; \
                      the implemented fragment requires a single target atom"
                 ),
-            });
-        }
-        let atom = &tgd.rhs[0];
-        let mut seen = std::collections::BTreeSet::new();
-        for t in &atom.args {
-            match t {
-                Term::Var(v) => {
-                    if !seen.insert(v.clone()) {
-                        return Err(OpsError::UnsupportedFragment {
-                            operator: "maximum_recovery",
-                            reason: format!(
-                                "tgd `{tgd}` repeats variable `{v}` in its target atom; \
-                                 repeated variables need per-disjunct equality guards"
-                            ),
-                        });
-                    }
+                RecoveryObstacle::RepeatedVar { var, .. } => format!(
+                    "tgd `{tgd}` repeats variable `{var}` in its target atom; \
+                     repeated variables need per-disjunct equality guards"
+                ),
+                RecoveryObstacle::NonVariable { .. } => {
+                    format!("tgd `{tgd}` uses a non-variable target argument")
                 }
-                _ => {
-                    return Err(OpsError::UnsupportedFragment {
-                        operator: "maximum_recovery",
-                        reason: format!("tgd `{tgd}` uses a non-variable target argument"),
-                    });
-                }
-            }
+            },
+        });
+    }
+
+    // Group tgds by produced relation.
+    let mut by_rel: BTreeMap<Name, Vec<usize>> = BTreeMap::new();
+    for (i, tgd) in m.st_tgds().iter().enumerate() {
+        for atom in &tgd.rhs {
+            by_rel.entry(atom.relation.clone()).or_default().push(i);
         }
-        by_rel.entry(atom.relation.clone()).or_default().push(i);
     }
 
     let mut rules = Vec::new();

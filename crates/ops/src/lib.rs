@@ -37,6 +37,6 @@ pub use compose::{compose, Composition};
 pub use error::OpsError;
 pub use inverse::{
     is_recovery_witness, is_recovery_witness_governed, maximum_recovery, not_invertible_witness,
-    not_invertible_witness_governed, MaxRecovery,
+    not_invertible_witness_governed, recovery_obstacles, MaxRecovery, RecoveryObstacle,
 };
 pub use verify::{verify_composition, CompositionCheck, CompositionCounterexample};

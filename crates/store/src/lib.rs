@@ -33,6 +33,10 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod temp_dir;
+
 pub use codec::{decode_instance, encode_instance, Decoder, Encoder};
 pub use crc::crc32;
 pub use error::StoreError;

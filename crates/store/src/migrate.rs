@@ -597,6 +597,7 @@ pub fn abort(dir: &Path) -> Result<bool, MigrateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use dex_relational::tuple;
     use dex_relational::{RelSchema, Schema};
 
@@ -653,12 +654,6 @@ mod tests {
         .unwrap()
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("dex_migrate_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
-
     #[test]
     fn plan_and_progress_round_trip() {
         let p = plan();
@@ -671,7 +666,7 @@ mod tests {
 
     #[test]
     fn full_migration_replaces_the_store_atomically() {
-        let dir = tempdir("full");
+        let dir = TempDir::new("full");
         old_store(&dir);
         assert_eq!(status(&dir).unwrap(), MigrateStatus::None);
 
@@ -698,12 +693,11 @@ mod tests {
         assert_eq!(rec.state.instance, state.instance);
         assert_eq!(rec.state.instance.facts().count(), 6);
         assert!(store.source().unwrap().facts().next().is_none());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn begin_refuses_over_a_staged_migration_and_abort_clears_it() {
-        let dir = tempdir("refuse");
+        let dir = TempDir::new("refuse");
         old_store(&dir);
         let _mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
         let err = Migration::begin(&dir, &plan(), &prefixed_source(), opts())
@@ -716,12 +710,11 @@ mod tests {
         assert!(abort(&dir).unwrap());
         assert_eq!(status(&dir).unwrap(), MigrateStatus::None);
         Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn partial_roll_forward_converges() {
-        let dir = tempdir("partial_rf");
+        let dir = TempDir::new("partial_rf");
         old_store(&dir);
         let mut mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
         let MigrateRun::Done(state) = mig
@@ -749,12 +742,11 @@ mod tests {
         );
         // A second roll-forward is a no-op.
         assert!(!roll_forward(&dir, false).unwrap());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn abort_refuses_after_commit() {
-        let dir = tempdir("abort_commit");
+        let dir = TempDir::new("abort_commit");
         old_store(&dir);
         let mut mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
         mig.run(ChaseOptions::default(), &Governor::unlimited())
@@ -762,13 +754,12 @@ mod tests {
         mig.commit().unwrap();
         assert!(matches!(abort(&dir), Err(MigrateError::Committed)));
         assert!(roll_forward(&dir, false).unwrap());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn budget_stop_suspends_then_resume_completes() {
         use dex_relational::Budget;
-        let dir = tempdir("suspend");
+        let dir = TempDir::new("suspend");
         old_store(&dir);
         let mut mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
         // A one-round budget trips after the first committed target
@@ -794,6 +785,5 @@ mod tests {
             store.recover().unwrap().unwrap().state.instance,
             state.instance
         );
-        fs::remove_dir_all(&dir).ok();
     }
 }

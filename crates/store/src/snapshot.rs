@@ -122,6 +122,7 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use dex_relational::{tuple, RelSchema, Schema, Value};
 
     fn state(complete: bool) -> ChaseState {
@@ -151,28 +152,20 @@ mod tests {
 
     #[test]
     fn write_then_read_through_the_filesystem() {
-        let dir = tempdir("snap_rw");
+        let dir = TempDir::new("snap_rw");
         write(&dir, &state(false), false).expect("write");
         let back = read(&dir).expect("read").expect("some");
         assert_eq!(back, state(false));
         // Overwrite is atomic-replace, not append.
         write(&dir, &state(true), true).expect("write");
         assert!(read(&dir).expect("read").expect("some").complete);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_snapshot_is_none_but_corrupt_is_an_error() {
-        let dir = tempdir("snap_missing");
+        let dir = TempDir::new("snap_missing");
         assert!(read(&dir).expect("read").is_none());
         std::fs::write(dir.join(SNAPSHOT_FILE), b"garbage").expect("write");
         assert!(matches!(read(&dir), Err(StoreError::Corrupt { .. })));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("dex_store_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&d).expect("mkdir");
-        d
     }
 }

@@ -18,8 +18,11 @@
 //! Compiled only with `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
+#[path = "../../../tests/common/mod.rs"]
+mod temp_dir;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use temp_dir::TempDir;
 
 use dex_chase::{
     exchange_checkpointed, resume_exchange, ChaseOptions, Checkpoint, CheckpointSink, ResumeState,
@@ -62,12 +65,6 @@ fn opts() -> StoreOptions {
         snapshot_every: 2,
         sync: false,
     }
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dex_crash_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
 }
 
 /// Records every committed boundary of the uninterrupted run.
@@ -148,7 +145,7 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
             // Sweep the hit ordinal until the run stops faulting —
             // that covers every boundary the site participates in.
             for nth in 1..=16u64 {
-                let dir = tempdir(&format!("{}_{action:?}_{nth}", site.replace('.', "_")));
+                let dir = TempDir::new(&format!("{}_{action:?}_{nth}", site.replace('.', "_")));
                 clear();
                 arm(site, action, nth);
 
@@ -185,7 +182,6 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
                     }
                 };
                 if !faulted {
-                    std::fs::remove_dir_all(&dir).ok();
                     break; // higher ordinals can't fire either
                 }
                 faulted_runs += 1;
@@ -262,7 +258,6 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
                     .unwrap();
                 assert!(done.state.complete, "{ctx}: final checkpoint durable");
                 assert_eq!(done.state.instance, truth.target);
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
     }
@@ -281,7 +276,7 @@ fn short_write_lengths_cover_the_record_framing() {
     // Cut inside the length field (2), inside the checksum (6), and
     // inside the payload (20): all three must scan as torn tails.
     for cut in [2u64, 6, 20] {
-        let dir = tempdir(&format!("framing_{cut}"));
+        let dir = TempDir::new(&format!("framing_{cut}"));
         clear();
         // Hit 2 skips the round-0 snapshot path; the first WAL append
         // is for round 1.
@@ -309,6 +304,5 @@ fn short_write_lengths_cover_the_record_framing() {
             !clean.wal_torn && clean.is_clean(),
             "repaired store is clean"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

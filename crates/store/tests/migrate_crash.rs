@@ -23,9 +23,13 @@
 //! Compiled only with `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
+#[path = "../../../tests/common/mod.rs"]
+mod temp_dir;
+
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use temp_dir::TempDir;
 
 use dex_chase::{exchange_checkpointed, ChaseOptions, Checkpoint, CheckpointSink};
 use dex_logic::parse_mapping;
@@ -85,12 +89,6 @@ fn opts() -> StoreOptions {
         snapshot_every: 2,
         sync: false,
     }
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dex_migcrash_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
 }
 
 /// Build a live store holding a completed exchange over the old
@@ -269,7 +267,7 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
     for &site in &sites {
         for action in actions {
             for nth in 1..=16u64 {
-                let dir = tempdir(&format!("{}_{action:?}_{nth}", site.replace('.', "_")));
+                let dir = TempDir::new(&format!("{}_{action:?}_{nth}", site.replace('.', "_")));
                 build_old_store(&dir);
                 let before = live_bytes(&dir);
 
@@ -296,7 +294,6 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
                     }
                 };
                 if !faulted {
-                    std::fs::remove_dir_all(&dir).ok();
                     break; // higher ordinals can't fire either
                 }
                 faulted_runs += 1;
@@ -336,7 +333,6 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
 
                 recover_and_finish(&dir, &ctx, &rec.boundaries);
                 assert_migrated(&dir, &truth, &ctx);
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
     }
@@ -356,7 +352,7 @@ fn repair_rolls_forward_committed_but_preserves_in_progress() {
 
     // In progress: block the commit marker so the migration stays
     // uncommitted, then repair.
-    let dir = tempdir("repair_inprogress");
+    let dir = TempDir::new("repair_inprogress");
     build_old_store(&dir);
     let mut mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
     let MigrateRun::Done(_) = mig
@@ -390,7 +386,6 @@ fn repair_rolls_forward_committed_but_preserves_in_progress() {
         Store::open(&dir, opts()).unwrap().mapping_text(),
         NEW_SCHEMA
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A torn `COMMIT` marker (short write) is *not* a commit: the old
@@ -399,7 +394,7 @@ fn repair_rolls_forward_committed_but_preserves_in_progress() {
 fn torn_commit_marker_is_no_commit() {
     let _gate = exclusive();
     clear();
-    let dir = tempdir("torn_commit");
+    let dir = TempDir::new("torn_commit");
     build_old_store(&dir);
     let before = live_bytes(&dir);
     let mut mig = Migration::begin(&dir, &plan(), &prefixed_source(), opts()).unwrap();
@@ -428,5 +423,4 @@ fn torn_commit_marker_is_no_commit() {
         Store::open(&dir, opts()).unwrap().mapping_text(),
         NEW_SCHEMA
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,7 +5,11 @@
 //! `unwrap`/`expect`; these properties pin the behavior down from the
 //! outside.
 
-use std::path::PathBuf;
+#[path = "../../../tests/common/mod.rs"]
+mod temp_dir;
+
+use std::path::Path;
+use temp_dir::TempDir;
 
 use dex_chase::exchange_checkpointed;
 use dex_logic::parse_mapping;
@@ -13,15 +17,9 @@ use dex_relational::{tuple, Governor, Instance};
 use dex_store::{codec, fsck, wal, Store, StoreMode, StoreOptions, StoreSink};
 use proptest::prelude::*;
 
-fn tempdir(tag: u64) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dex_fuzz_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
 /// Build one real store on disk and return its directory.
-fn build_store(tag: u64) -> PathBuf {
-    let dir = tempdir(tag);
+fn build_store(tag: u64) -> TempDir {
+    let dir = TempDir::new(&format!("fuzz_{tag}"));
     let text = r#"
         source R(a);
         target S(a, b);
@@ -59,7 +57,7 @@ fn build_store(tag: u64) -> PathBuf {
 }
 
 /// Every file a store contains, as (name, bytes).
-fn store_files(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
@@ -119,7 +117,6 @@ proptest! {
             || report.is_err()
             || matches!(&report, Ok(r) if !r.is_clean() || r.wal_torn || r.stale_records > 0);
         prop_assert!(noticed, "flip at bit {bit} of {name} went unnoticed");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Truncating any store file at any point never panics recovery.
@@ -140,7 +137,6 @@ proptest! {
             let _ = fsck::repair(&dir);
             let _ = fsck::fsck(&dir);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Garbage files posing as a store: `open` yields `NotAStore` or
@@ -149,7 +145,7 @@ proptest! {
     fn garbage_directories_yield_typed_errors(
         bytes in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
-        let dir = tempdir(99);
+        let dir = TempDir::new("fuzz_99");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("store.meta"), &bytes).unwrap();
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
@@ -164,6 +160,5 @@ proptest! {
         }
         let _ = fsck::fsck(&dir);
         let _ = fsck::repair(&dir);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

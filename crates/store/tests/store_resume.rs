@@ -11,7 +11,10 @@
 //! * snapshot cadence is invisible: every `snapshot_every` yields the
 //!   same recovered states.
 
-use std::path::PathBuf;
+#[path = "../../../tests/common/mod.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
 
 use dex_chase::{
     exchange, exchange_checkpointed, resume_exchange, ChaseOptions, ChaseOutcome, ResumeState,
@@ -19,12 +22,6 @@ use dex_chase::{
 use dex_logic::{parse_mapping, Mapping};
 use dex_relational::{tuple, Budget, Governor, Instance};
 use dex_store::{fsck, ChaseState, Store, StoreMode, StoreOptions};
-
-fn tempdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dex_store_it_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 fn opts(snapshot_every: u64) -> StoreOptions {
     StoreOptions {
@@ -82,7 +79,7 @@ fn run_to_store(dir: &std::path::Path, snapshot_every: u64, gov: &Governor) -> C
 
 #[test]
 fn completed_run_recovers_bit_identically() {
-    let dir = tempdir("complete");
+    let dir = TempDir::new("complete");
     let (m, src) = fixture();
     let plain = exchange(&m, &src).unwrap();
 
@@ -106,13 +103,12 @@ fn completed_run_recovers_bit_identically() {
     // Recovery does not mutate the store.
     let again = store.recover().unwrap().unwrap();
     assert_eq!(again.state, rec.state);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn exhausted_run_resumes_to_the_uninterrupted_result() {
     for snapshot_every in [1, 2, 64] {
-        let dir = tempdir(&format!("resume_{snapshot_every}"));
+        let dir = TempDir::new(&format!("resume_{snapshot_every}"));
         let (m, src) = fixture();
         let uninterrupted = exchange(&m, &src).unwrap();
 
@@ -153,13 +149,12 @@ fn exhausted_run_resumes_to_the_uninterrupted_result() {
         let rec = store.recover().unwrap().unwrap();
         assert!(rec.state.complete);
         assert_eq!(rec.state.instance, uninterrupted.target);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn resumed_round_caps_count_total_rounds_across_restarts() {
-    let dir = tempdir("cap_total");
+    let dir = TempDir::new("cap_total");
     let m = parse_mapping(PING_PONG).unwrap();
     let src = Instance::with_facts(m.source().clone(), vec![("R", vec![tuple!["u"]])]).unwrap();
 
@@ -205,12 +200,11 @@ fn resumed_round_caps_count_total_rounds_across_restarts() {
         whole.report.rounds_committed
     );
     assert_eq!(second.partial, whole.partial, "split run ≡ whole run");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn create_refuses_to_overwrite_and_open_rejects_non_stores() {
-    let dir = tempdir("occupied");
+    let dir = TempDir::new("occupied");
     let (_, src) = fixture();
     Store::create(&dir, StoreMode::Chase, MAPPING, &src, opts(8)).unwrap();
     assert!(matches!(
@@ -218,19 +212,17 @@ fn create_refuses_to_overwrite_and_open_rejects_non_stores() {
         Err(dex_store::StoreError::StoreExists { .. })
     ));
 
-    let empty = tempdir("empty");
+    let empty = TempDir::new("empty");
     std::fs::create_dir_all(&empty).unwrap();
     assert!(matches!(
         Store::open(&empty, opts(8)),
         Err(dex_store::StoreError::NotAStore { .. })
     ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&empty).ok();
 }
 
 #[test]
 fn prepare_resume_is_idempotent() {
-    let dir = tempdir("idem");
+    let dir = TempDir::new("idem");
     let gov = Governor::new(Budget::unlimited().with_max_rounds(1));
     run_to_store(&dir, 64, &gov);
 
@@ -242,5 +234,4 @@ fn prepare_resume_is_idempotent() {
     let rec3 = store.recover().unwrap().unwrap().state;
     assert_eq!(rec1, rec2);
     assert_eq!(rec2, rec3);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,4 +1,6 @@
-//! Helpers shared by the binary-level tests.
+//! Helpers shared by the binary-level tests. The crates' own test
+//! suites include this file by path, so every suite in the workspace
+//! uses one per-test scratch directory.
 #![allow(dead_code)] // each test binary uses a subset of the helpers
 
 use std::path::{Path, PathBuf};
@@ -29,6 +31,20 @@ impl TempDir {
         let path = self.0.join(name);
         std::fs::write(&path, content).unwrap();
         path
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
     }
 }
 

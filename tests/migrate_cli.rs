@@ -5,25 +5,15 @@
 //! (0 committed, 1 usage, 2 refused-before-touching-data, 3 resumable
 //! budget trip).
 
+mod common;
+
+use common::TempDir;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn dexcli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dexcli"))
-}
-
-static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh scratch directory unique to this call.
-fn scratch(stem: &str) -> PathBuf {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("dexcli-migrate-{stem}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn write_file(dir: &Path, name: &str, content: &str) -> PathBuf {
@@ -62,7 +52,7 @@ fn build_store(dir: &Path) -> PathBuf {
 
 #[test]
 fn migrate_end_to_end_add_column_and_table() {
-    let dir = scratch("e2e");
+    let dir = TempDir::new("e2e");
     let store = build_store(&dir);
     let schema = write_file(
         &dir,
@@ -143,7 +133,7 @@ fn migrate_end_to_end_add_column_and_table() {
 
 #[test]
 fn migrate_refuses_rules_in_schema_file() {
-    let dir = scratch("rules");
+    let dir = TempDir::new("rules");
     let store = build_store(&dir);
     let schema = write_file(
         &dir,
@@ -164,7 +154,7 @@ fn migrate_refuses_rules_in_schema_file() {
 
 #[test]
 fn migrate_refuses_ambiguous_diff_with_exit_2() {
-    let dir = scratch("ambig");
+    let dir = TempDir::new("ambig");
     let store = build_store(&dir);
     // Staff could be a rename of either same-shape table: refused,
     // nothing staged.
@@ -187,7 +177,7 @@ fn migrate_refuses_ambiguous_diff_with_exit_2() {
 
 #[test]
 fn migrate_deny_cost_refuses_with_exit_2() {
-    let dir = scratch("deny");
+    let dir = TempDir::new("deny");
     let store = build_store(&dir);
     let schema = write_file(&dir, "new.dex", "target Staff(name, dept, office);\n");
     let out = dexcli()
@@ -205,7 +195,7 @@ fn migrate_deny_cost_refuses_with_exit_2() {
 
 #[test]
 fn migrate_resume_with_nothing_staged_is_a_usage_error() {
-    let dir = scratch("noresume");
+    let dir = TempDir::new("noresume");
     let store = build_store(&dir);
     let out = dexcli()
         .arg("migrate")
@@ -220,7 +210,7 @@ fn migrate_resume_with_nothing_staged_is_a_usage_error() {
 
 #[test]
 fn migrate_refuses_unfinished_store() {
-    let dir = scratch("unfinished");
+    let dir = TempDir::new("unfinished");
     // A store whose chase tripped its budget: migrating it would drop
     // the un-derived remainder, so migrate refuses with exit 2.
     let mapping = write_file(
@@ -263,7 +253,7 @@ fn migrate_refuses_unfinished_store() {
 fn migrate_missing_args_is_usage_error() {
     let out = dexcli().arg("migrate").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
-    let dir = scratch("usage");
+    let dir = TempDir::new("usage");
     let store = build_store(&dir);
     let out = dexcli().arg("migrate").arg(&store).output().unwrap();
     assert_eq!(
@@ -297,7 +287,7 @@ fn copy_dir(from: &Path, to: &Path) {
 fn torn_migrate_fixture_is_flagged_and_rolls_forward() {
     let fixture =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/store_fixtures/torn_migrate");
-    let dir = scratch("torn-fixture");
+    let dir = TempDir::new("torn-fixture");
 
     // Path 1: fsck flags the torn window, --repair rolls forward.
     let repair = dir.join("repair");
@@ -352,5 +342,4 @@ fn torn_migrate_fixture_is_flagged_and_rolls_forward() {
     for needle in ["ada", "bob", "none"] {
         assert!(stdout.contains(needle), "{stdout}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
