@@ -20,7 +20,11 @@ use std::fmt;
 /// Stable diagnostic codes. The numeric bands group related passes:
 /// `000` parse, `0xx` termination, `1xx` hygiene, `2xx` compiler
 /// fragment, `3xx` operator prechecks, `4xx` dataflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+///
+/// On every JSON wire a code is spelled as [`Code::as_str`] (`"DEX201"`);
+/// reading also accepts the variant spelling (`"Dex201"`) of older
+/// reports.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Code {
     /// The mapping failed to parse.
     Dex000,
@@ -98,6 +102,20 @@ pub enum Code {
     /// A compose/migration output is not equivalent to its spec, where
     /// the containment check could decide it.
     Dex604,
+}
+
+impl Serialize for Code {
+    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.serialize_str(self.as_str())
+    }
+}
+
+impl<'de> Deserialize<'de> for Code {
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        let s = String::deserialize(de)?;
+        Code::parse(&s)
+            .ok_or_else(|| serde::de::Error::custom(format_args!("unknown diagnostic code `{s}`")))
+    }
 }
 
 impl Code {
@@ -718,5 +736,15 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: Diagnostic = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn code_wire_spelling_is_the_registry_spelling() {
+        assert_eq!(serde_json::to_string(&Code::Dex201).unwrap(), "\"DEX201\"");
+        for text in ["\"DEX201\"", "\"Dex201\""] {
+            let code: Code = serde_json::from_str(text).unwrap();
+            assert_eq!(code, Code::Dex201, "{text}");
+        }
+        assert!(serde_json::from_str::<Code>("\"DEX999\"").is_err());
     }
 }

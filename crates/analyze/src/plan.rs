@@ -215,7 +215,6 @@ impl ExplainReport {
     fn tgd_tree(&self, out: &mut String, t: &TgdPlan, dep: DepRef, span: Option<Span>) {
         let _ = writeln!(out, "{dep}: {}{}", t.display, span_suffix(span));
         let _ = writeln!(out, "  matcher: {}", self.matcher_str(t));
-        let _ = writeln!(out, "  sharding: {}  (--threads N)", t.sharding);
         let _ = writeln!(out, "  premise:");
         self.premise_tree(out, "    ", &t.premise, &t.premise_atoms);
         if t.nulls_per_firing == 0 {

@@ -3,7 +3,7 @@
 //! [`dex_analyze::cost_section`] at the *measured* source statistics
 //! must dominate what an actual exchange consumes — committed rounds,
 //! rule firings (including egd merges), invented nulls, and final
-//! tuple count — at every matcher thread count.
+//! tuple count.
 //!
 //! The same scenarios also pin the `--auto-budget` contract: a chase
 //! governed by [`Budget::from_bounds`] with safety factor 1 (the
@@ -190,33 +190,21 @@ proptest! {
 
         // Key egds can clash two constants — then there is no solution
         // and nothing to bound.
-        let mut opts = ChaseOptions {
-            threads: 1,
-            ..ChaseOptions::default()
-        };
-        let baseline = match exchange_with(&m, &src, opts) {
+        let r = match exchange_with(&m, &src, ChaseOptions::default()) {
             Ok(r) => r,
             Err(_) => return,
         };
-
-        for threads in [1usize, 3] {
-            opts.threads = threads;
-            let r = exchange_with(&m, &src, opts).expect(text);
-            for (name, actual, bound) in [
-                ("rounds", r.stats.rounds as u64, section.bounds.rounds),
-                ("firings", r.firings as u64, section.bounds.firings),
-                ("nulls", r.nulls_created as u64, section.bounds.nulls),
-                ("tuples", r.target.fact_count() as u64, section.bounds.tuples),
-            ] {
-                prop_assert!(
-                    Bound::Finite(actual) <= bound,
-                    "{name}: actual {} exceeds predicted {} at {} thread(s)\nmapping:\n{}",
-                    actual, bound, threads, text
-                );
-            }
-            // Thread count must not change the result (so one bound
-            // check per scenario would suffice — pin it anyway).
-            prop_assert_eq!(&r.target, &baseline.target, "threads={}", threads);
+        for (name, actual, bound) in [
+            ("rounds", r.stats.rounds as u64, section.bounds.rounds),
+            ("firings", r.firings as u64, section.bounds.firings),
+            ("nulls", r.nulls_created as u64, section.bounds.nulls),
+            ("tuples", r.target.fact_count() as u64, section.bounds.tuples),
+        ] {
+            prop_assert!(
+                Bound::Finite(actual) <= bound,
+                "{name}: actual {} exceeds predicted {}\nmapping:\n{}",
+                actual, bound, text
+            );
         }
 
         // `--auto-budget` contract: caps synthesized from the bounds at

@@ -3,12 +3,12 @@
 use crate::error::ChaseError;
 use dex_logic::eval::{
     extend_matches, extend_matches_mode, for_each_match_mode, has_match_mode,
-    match_conjunction_mode, seed_conjunction, unify_with_tuple, MatchMode, Valuation,
+    match_conjunction_mode, unify_with_tuple, MatchMode, Valuation,
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
-    hash_values, Budget, ExhaustionReport, Governor, Instance, Name, NullGen, NullId,
-    RelationalError, TripReason, Tuple, Value,
+    Budget, ExhaustionReport, Governor, Instance, Name, NullGen, NullId, RelationalError,
+    TripReason, Tuple, Value,
 };
 use serde::{Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,69 +59,12 @@ pub const DEFAULT_MAX_ROUNDS: u64 = 10_000;
 
 /// Chase configuration. Round caps are not a chase option: they belong
 /// to the [`Governor`]'s [`Budget`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChaseOptions {
     /// Source-to-target variant.
     pub variant: ChaseVariant,
     /// Matching strategy (indexed semi-naive vs full-scan oracle).
     pub matcher: Matcher,
-    /// Worker threads for sharded premise matching. `1` (the default)
-    /// matches on the calling thread; `0` resolves to the machine's
-    /// available parallelism. With more than one thread, each round's
-    /// matching work is partitioned across scoped worker threads over
-    /// the shared read-only columnar snapshot — firing and null
-    /// invention stay sequential, so every thread count produces the
-    /// identical instance (same tuples, same null allocation order).
-    /// The `DEX_TEST_THREADS` environment variable overrides the
-    /// default; CI uses it to push the whole suite through the
-    /// parallel matcher.
-    pub threads: usize,
-}
-
-impl Default for ChaseOptions {
-    fn default() -> Self {
-        ChaseOptions {
-            variant: ChaseVariant::Standard,
-            matcher: Matcher::default(),
-            threads: default_threads(),
-        }
-    }
-}
-
-static DEFAULT_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-
-/// The default matcher thread count: the value installed by
-/// [`set_default_threads`], else `DEX_TEST_THREADS` when set and
-/// parseable, else 1 (sequential).
-fn default_threads() -> usize {
-    *DEFAULT_THREADS.get_or_init(|| {
-        std::env::var("DEX_TEST_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1)
-    })
-}
-
-/// Install the process-wide default for [`ChaseOptions::threads`]
-/// (takes precedence over `DEX_TEST_THREADS`). Only the first caller
-/// wins, and only if no `ChaseOptions::default()` has been built yet;
-/// returns whether the value was applied. This is the hook behind
-/// `dexcli --threads N`.
-pub fn set_default_threads(n: usize) -> bool {
-    DEFAULT_THREADS.set(n).is_ok()
-}
-
-impl ChaseOptions {
-    /// The concrete matcher thread count: [`ChaseOptions::threads`],
-    /// with `0` resolved to the machine's available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 /// Counters collected while chasing, for `--stats` style reporting.
@@ -491,31 +434,11 @@ fn run_exchange(
     // Phase 1: source-to-target (skipped when resuming — its output is
     // already folded into the restored target). The lhs only mentions
     // source relations, so a single pass over all (tgd, match) pairs
-    // suffices. With several threads each tgd's premise matching
-    // shards across them; the seed-order merge inside
-    // `match_conjunction_sharded` reproduces the sequential enumeration
-    // exactly, so the firing (and null) order below is
-    // thread-count-invariant. One thread matches directly: the sharded
-    // matcher would first build, and throw away, a seed per source row.
-    let nthreads = opts.effective_threads();
+    // suffices.
     if let Some(src) = src_opt {
-        let all_matches: Vec<(usize, Vec<Valuation>)> = mapping
-            .st_tgds()
-            .iter()
-            .enumerate()
-            .map(|(i, tgd)| {
-                let matches = if nthreads > 1 {
-                    match_conjunction_sharded(&tgd.lhs, src, mode, nthreads)
-                } else {
-                    match_conjunction_mode(&tgd.lhs, src, mode)
-                };
-                (i, matches)
-            })
-            .collect();
-        for (i, matches) in all_matches {
-            let tgd = &mapping.st_tgds()[i];
+        for tgd in mapping.st_tgds() {
             let rhs_vars: BTreeSet<Name> = tgd.rhs_vars().into_iter().collect();
-            for m in matches {
+            for m in match_conjunction_mode(&tgd.lhs, src, mode) {
                 // Each firing is an atomic step: a trip between firings
                 // hands back a prefix of whole phase-1 chase steps.
                 if let Err(reason) = gov.check() {
@@ -562,9 +485,9 @@ fn run_exchange(
             }
             let rhs_vars: BTreeSet<Name> = tgd.rhs_vars().into_iter().collect();
             let matches: Vec<Valuation> = if use_delta {
-                delta_matches_sharded(&tgd.lhs, &target, &delta, mode, nthreads)
+                delta_matches(&tgd.lhs, &target, &delta, mode)
             } else {
-                match_conjunction_sharded(&tgd.lhs, &target, mode, nthreads)
+                match_conjunction_mode(&tgd.lhs, &target, mode)
             };
             for m in matches {
                 let frontier: Valuation = m
@@ -651,108 +574,6 @@ fn run_exchange(
         firings,
         stats,
     }))
-}
-
-/// Match a conjunction with its seeds sharded across `nthreads`
-/// crossbeam worker threads (sequentially when `nthreads <= 1`).
-///
-/// [`seed_conjunction`] pins the search's first atom to each candidate
-/// row; seeds are dealt round-robin to shards, each worker extends its
-/// seeds against the shared read-only columnar snapshot, and the
-/// per-seed blocks are merged back in seed order. The output is
-/// therefore identical — same matches, same order — to
-/// [`match_conjunction_mode`] on one thread, which keeps phase-1
-/// firing order (and hence null invention) thread-count-invariant.
-fn match_conjunction_sharded(
-    atoms: &[Atom],
-    inst: &Instance,
-    mode: MatchMode,
-    nthreads: usize,
-) -> Vec<Valuation> {
-    let seeded = match seed_conjunction(atoms, inst, mode) {
-        Some(s) if nthreads > 1 => s,
-        _ => return match_conjunction_mode(atoms, inst, mode),
-    };
-    let rest = &seeded.rest;
-    let seeds = &seeded.seeds;
-    if seeds.len() <= 1 {
-        return seeds
-            .iter()
-            .flat_map(|s| extend_matches_mode(rest, inst, s, mode))
-            .collect();
-    }
-    let shards = nthreads.min(seeds.len());
-    // `crossbeam::scope` / `join` only err when a worker panicked;
-    // re-raising that panic is the contract — matching has no
-    // partial-result recovery at this level.
-    #[allow(clippy::expect_used)]
-    let mut blocks: Vec<(usize, Vec<Valuation>)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|s| {
-                scope.spawn(move |_| {
-                    let mut out = Vec::new();
-                    let mut k = s;
-                    while k < seeds.len() {
-                        out.push((k, extend_matches_mode(rest, inst, &seeds[k], mode)));
-                        k += shards;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("chase match thread panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("chase match threads panicked");
-    blocks.sort_unstable_by_key(|(k, _)| *k);
-    blocks.into_iter().flat_map(|(_, ms)| ms).collect()
-}
-
-/// Semi-naive matching with the round's delta partitioned by row hash
-/// across `nthreads` crossbeam worker threads (sequentially when
-/// `nthreads <= 1`). Each worker runs [`delta_matches`] over its
-/// sub-delta against the shared read-only snapshot; sub-deltas keep
-/// per-relation delta order, and shard outputs are concatenated in
-/// (shard, delta-order) order. The union is the same match multiset as
-/// the sequential pass — the caller's canonical sort of the firing
-/// list then pins the same firing (and null invention) order.
-///
-/// `crossbeam::scope` / `join` only err when a worker panicked;
-/// re-raising that panic is the contract — matching has no
-/// partial-result recovery at this level.
-#[allow(clippy::expect_used)]
-fn delta_matches_sharded(
-    atoms: &[Atom],
-    inst: &Instance,
-    delta: &BTreeMap<Name, Vec<Tuple>>,
-    mode: MatchMode,
-    nthreads: usize,
-) -> Vec<Valuation> {
-    let total: usize = delta.values().map(Vec::len).sum();
-    if nthreads <= 1 || total < 2 {
-        return delta_matches(atoms, inst, delta, mode);
-    }
-    let shards = nthreads.min(total);
-    let mut sub: Vec<BTreeMap<Name, Vec<Tuple>>> = vec![BTreeMap::new(); shards];
-    for (name, tuples) in delta {
-        for t in tuples {
-            let s = (hash_values(t.iter()) as usize) % shards;
-            sub[s].entry(name.clone()).or_default().push(t.clone());
-        }
-    }
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = sub
-            .iter()
-            .map(|shard| scope.spawn(move |_| delta_matches(atoms, inst, shard, mode)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("chase match thread panicked"))
-            .collect()
-    })
-    .expect("chase match threads panicked")
 }
 
 /// Semi-naive premise matching: every match of `atoms` over `inst`
@@ -1360,7 +1181,6 @@ mod tests {
                 ChaseOptions {
                     variant: ChaseVariant::Standard,
                     matcher,
-                    ..Default::default()
                 },
                 &gov,
             )
@@ -1463,7 +1283,6 @@ mod tests {
                     ChaseOptions {
                         variant,
                         matcher: Matcher::Scan,
-                        ..Default::default()
                     },
                 )
                 .unwrap();

@@ -30,9 +30,9 @@ pub mod termination;
 
 pub use chase::{
     enforce_egds, enforce_egds_governed, enforce_egds_with, exchange, exchange_checkpointed,
-    exchange_governed, exchange_with, resume_exchange, set_default_threads, ChaseOptions,
-    ChaseOutcome, ChaseStats, ChaseVariant, Checkpoint, CheckpointSink, EgdOutcome, EgdStats,
-    ExchangeResult, Exhausted, Matcher, ResumeState, CHASE_STATS_WIRE_V, DEFAULT_MAX_ROUNDS,
+    exchange_governed, exchange_with, resume_exchange, ChaseOptions, ChaseOutcome, ChaseStats,
+    ChaseVariant, Checkpoint, CheckpointSink, EgdOutcome, EgdStats, ExchangeResult, Exhausted,
+    Matcher, ResumeState, CHASE_STATS_WIRE_V, DEFAULT_MAX_ROUNDS,
 };
 pub use core_min::{core_of, core_of_governed};
 pub use critical::{critical_instance, CriticalInstance};

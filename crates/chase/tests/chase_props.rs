@@ -194,12 +194,10 @@ proptest! {
                 let indexed = exchange_with(&m, &src, ChaseOptions {
                     variant,
                     matcher: Matcher::Indexed,
-                    ..Default::default()
                 }).unwrap();
                 let scan = exchange_with(&m, &src, ChaseOptions {
                     variant,
                     matcher: Matcher::Scan,
-                    ..Default::default()
                 }).unwrap();
                 prop_assert_eq!(
                     &indexed.target, &scan.target,
@@ -207,44 +205,6 @@ proptest! {
                 );
                 prop_assert_eq!(indexed.nulls_created, scan.nulls_created);
                 prop_assert_eq!(indexed.firings, scan.firings);
-            }
-        }
-    }
-
-    /// Sharded parallel matching is *literally* equal to the
-    /// single-threaded chase — same tuples, same null allocation order,
-    /// same firing count, same stats — for 2, 3, and 8 worker threads,
-    /// both matchers, both chase variants, across plain st-tgd mappings
-    /// and mappings with target tgds/egds.
-    #[test]
-    fn parallel_matching_literally_equals_sequential(
-        rows in proptest::collection::vec((0u8..5, 0u8..5), 0..8)
-    ) {
-        for m in mappings().into_iter().chain(target_dep_mappings()) {
-            let src = populate(&m, &rows);
-            for variant in [ChaseVariant::Standard, ChaseVariant::Oblivious] {
-                for matcher in [Matcher::Indexed, Matcher::Scan] {
-                    let seq = exchange_with(&m, &src, ChaseOptions {
-                        variant,
-                        matcher,
-                        threads: 1,
-                    }).unwrap();
-                    for threads in [2usize, 3, 8] {
-                        let par = exchange_with(&m, &src, ChaseOptions {
-                            variant,
-                            matcher,
-                            threads,
-                        }).unwrap();
-                        prop_assert_eq!(
-                            &seq.target, &par.target,
-                            "threads={} {:?}/{:?} diverged for:\n{}",
-                            threads, variant, matcher, m
-                        );
-                        prop_assert_eq!(seq.nulls_created, par.nulls_created);
-                        prop_assert_eq!(seq.firings, par.firings);
-                        prop_assert_eq!(&seq.stats, &par.stats);
-                    }
-                }
             }
         }
     }

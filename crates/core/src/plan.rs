@@ -45,24 +45,6 @@ impl MatcherChoice {
             MatcherChoice::DeltaDriven => "indexed, delta-driven (semi-naive)",
         }
     }
-
-    /// How this matcher phase shards across worker threads when the
-    /// chase runs with `threads > 1` (see `ChaseOptions::threads`).
-    /// Matching parallelizes; firing and null invention stay
-    /// sequential, so output is identical at any thread count.
-    pub fn sharding(&self) -> &'static str {
-        match self {
-            // Phase 1 decomposes the premise into per-candidate seeds
-            // of its first atom and deals them round-robin, so merging
-            // shard outputs in seed order reproduces the sequential
-            // enumeration exactly.
-            MatcherChoice::FullPass => "seed-sharded over first-atom candidates",
-            // Phase 2 partitions the round's delta tuples by hash, one
-            // shard per worker; outputs merge in (shard, delta) order
-            // before the deterministic firing sort.
-            MatcherChoice::DeltaDriven => "hash-partitioned over the round delta",
-        }
-    }
 }
 
 /// The plan for one tgd.
@@ -80,10 +62,6 @@ pub struct TgdPlan {
     pub premise: PremisePlan,
     /// Which matcher phase runs this dependency.
     pub matcher: MatcherChoice,
-    /// How premise matching for this dependency shards across worker
-    /// threads under `--threads N` (matching only — firing and null
-    /// invention remain sequential, keeping output deterministic).
-    pub sharding: String,
     /// Existential variables — each firing invents one labeled null
     /// per entry.
     pub existentials: Vec<Name>,
@@ -232,7 +210,6 @@ fn tgd_plan(
         premise_atoms: tgd.lhs.iter().map(|a| a.to_string()).collect(),
         premise: premise_plan(&tgd.lhs, &[]),
         matcher,
-        sharding: matcher.sharding().to_string(),
         nulls_per_firing: existentials.len(),
         existentials,
         fidelity,

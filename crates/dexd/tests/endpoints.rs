@@ -552,14 +552,15 @@ fn uncompilable_mapping_still_serves_analysis_endpoints() {
         "{message}"
     );
 
-    // DEX201 is a warning: the mapping still lints with status 200.
+    // DEX201 is a warning: the mapping still lints with status 200, and
+    // the JSON body spells the code as the registry does.
     let l = request(addr, "POST", "/v1/mappings/selfjoin/lint", "{}");
     assert_eq!(l.status, 200, "{}", l.raw_body);
     let diagnostics = l.field("diagnostics").and_then(|v| v.as_array()).unwrap();
     assert!(
         diagnostics
             .iter()
-            .any(|d| d["code"].as_str() == Some("Dex201")),
+            .any(|d| d["code"].as_str() == Some("DEX201")),
         "{}",
         l.raw_body
     );

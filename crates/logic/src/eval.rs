@@ -130,67 +130,6 @@ pub fn unify_with_tuple(atom: &Atom, tuple: &Tuple, partial: &Valuation) -> Opti
     }
 }
 
-/// A conjunction split into independent per-seed work items for
-/// sharded (multi-threaded) matching: the atom the sequential search
-/// would pick first is pinned to each of its candidate rows, in
-/// candidate-enumeration order, and the remaining atoms are kept in
-/// exactly the order the sequential search would continue with.
-///
-/// Extending seed `k` over `rest` (via [`extend_matches_mode`]) yields
-/// the `k`-th contiguous block of the sequential enumeration, so
-/// concatenating per-seed results in seed order reproduces
-/// [`match_conjunction_mode`] exactly — same matches, same order. This
-/// is what lets the parallel chase keep the same-tuples-same-null-order
-/// guarantee: shards can extend disjoint seed subsets on worker
-/// threads, then merge by seed index.
-#[derive(Clone, Debug)]
-pub struct SeededConjunction {
-    /// Valuations pinning the picked atom to each candidate row it
-    /// unifies with, in candidate-enumeration order.
-    pub seeds: Vec<Valuation>,
-    /// The remaining atoms, in the sequential search's working order.
-    pub rest: Vec<Atom>,
-}
-
-/// Split `atoms` into [`SeededConjunction`] work items. Returns `None`
-/// for the empty conjunction (its single trivial match leaves nothing
-/// to shard); callers fall back to [`match_conjunction_mode`].
-pub fn seed_conjunction(
-    atoms: &[Atom],
-    inst: &Instance,
-    mode: MatchMode,
-) -> Option<SeededConjunction> {
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    let v = Valuation::new();
-    let idx = pick_next(&remaining, inst, &v)?;
-    let atom = remaining.swap_remove(idx);
-    // `remaining` now holds the rest in swap_remove order — the exact
-    // layout the sequential search recurses with, which matters because
-    // `pick_next` breaks score ties by position.
-    let rest: Vec<Atom> = remaining.into_iter().cloned().collect();
-    let Some(rel) = inst.relation(atom.relation.as_str()) else {
-        // Missing relation: the sequential search finds no candidates.
-        return Some(SeededConjunction {
-            seeds: Vec::new(),
-            rest,
-        });
-    };
-    let ids: Vec<TupleId> = match mode {
-        MatchMode::Indexed => best_probe(atom, rel, &v),
-        MatchMode::Scan => None,
-    }
-    .unwrap_or_else(|| rel.row_ids().to_vec());
-    let mut seeds = Vec::new();
-    for &id in &ids {
-        let mut sv = Valuation::new();
-        let mut undo = Vec::new();
-        if unify_row(atom, rel, id, &mut sv, &mut undo) {
-            seeds.push(sv);
-        }
-    }
-    Some(SeededConjunction { seeds, rest })
-}
-
 /// One step of a static premise-matching plan: which atom the greedy
 /// optimizer matches next, which of its positions are index-probable at
 /// that point, and which variables it newly binds.
@@ -564,44 +503,6 @@ mod tests {
                 has_match_mode(&atoms, &db(), &Valuation::new(), MatchMode::Scan),
             );
         }
-    }
-
-    #[test]
-    fn seeded_enumeration_reproduces_sequential_order() {
-        // Extending the seeds of `seed_conjunction` in seed order must
-        // reproduce `match_conjunction_mode` exactly — the invariant
-        // the parallel chase's shard merge depends on.
-        let cases: Vec<Vec<Atom>> = vec![
-            vec![Atom::vars("Student", &["i", "n"])],
-            vec![
-                Atom::vars("Student", &["i", "n"]),
-                Atom::vars("Assgn", &["n", "c"]),
-            ],
-            vec![
-                Atom::vars("Assgn", &["n", "c"]),
-                Atom::vars("Student", &["i", "n"]),
-                Atom::vars("Assgn", &["n", "c2"]),
-            ],
-            vec![Atom::new("Assgn", vec![Term::var("n"), Term::cnst("DB")])],
-            vec![
-                Atom::vars("Student", &["i", "n"]),
-                Atom::vars("Assgn", &["m", "c"]),
-            ],
-            vec![Atom::vars("Nope", &["x"])],
-        ];
-        for atoms in cases {
-            for mode in [MatchMode::Indexed, MatchMode::Scan] {
-                let seq = match_conjunction_mode(&atoms, &db(), mode);
-                let sc = seed_conjunction(&atoms, &db(), mode).expect("non-empty conjunction");
-                let merged: Vec<Valuation> = sc
-                    .seeds
-                    .iter()
-                    .flat_map(|s| extend_matches_mode(&sc.rest, &db(), s, mode))
-                    .collect();
-                assert_eq!(merged, seq, "atoms: {atoms:?} mode: {mode:?}");
-            }
-        }
-        assert!(seed_conjunction(&[], &db(), MatchMode::Indexed).is_none());
     }
 
     #[test]

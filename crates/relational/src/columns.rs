@@ -15,8 +15,7 @@
 //! * **Set semantics** are enforced by a content-hash dedup map (row
 //!   hash → candidate ids, collisions resolved by column comparison).
 //!   Row hashes are computed with fixed-key [`DefaultHasher`]s, so
-//!   they are deterministic across runs — the same hashes double as
-//!   the shard key for parallel premise matching.
+//!   they are deterministic across runs.
 //! * **Canonical order** (the old `BTreeSet` iteration order) is a
 //!   cached permutation: [`ColumnStore::ordered_ids`] sorts the live
 //!   ids lexicographically by row content and caches the result behind
@@ -37,9 +36,9 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
-/// Deterministic content hash of a row, shared by the dedup map and
-/// the parallel matcher's shard partitioning. `DefaultHasher::new()`
-/// uses fixed keys, so the value is stable across runs and threads.
+/// Deterministic content hash of a row, the key of the dedup map.
+/// `DefaultHasher::new()` uses fixed keys, so the value is stable
+/// across runs.
 pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = DefaultHasher::new();
     for v in values {
@@ -310,8 +309,8 @@ impl ColumnStore {
 
     /// Live ids in canonical (lexicographic row) order — the old
     /// `BTreeSet` iteration order. Cached until the next mutation; the
-    /// `Arc` lets iterators and worker threads hold the permutation
-    /// without keeping a lock.
+    /// `Arc` lets iterators hold the permutation without keeping a
+    /// lock.
     pub fn ordered_ids(&self) -> Arc<Vec<TupleId>> {
         {
             let cache = self.order.read().unwrap_or_else(|p| p.into_inner());

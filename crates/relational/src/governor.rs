@@ -20,8 +20,7 @@
 //! steps, so the overshoot is bounded by the duration of a single step.
 //!
 //! The governor is `Sync`: counters are atomics, so a chase running on
-//! one thread can be cancelled from another via the shared token, and
-//! parallel matching tasks can account against one budget.
+//! one thread can be cancelled from another via the shared token.
 
 use serde::{Serialize, Serializer};
 use std::fmt;

@@ -33,10 +33,10 @@
 //!
 //! Interior mutability: indexes are built lazily behind an `RwLock` on
 //! a shared (`&Relation`) receiver, so matching code can probe during
-//! read-only traversals and parallel matchers can share relations
-//! across threads. Probes copy their matching ids out under a
-//! short-lived guard — no guard ever escapes this module, so
-//! recursive probes across relations cannot deadlock.
+//! read-only traversals and a shared instance stays `Sync`. Probes
+//! copy their matching ids out under a short-lived guard — no guard
+//! ever escapes this module, so recursive probes across relations
+//! cannot deadlock.
 
 use crate::columns::ColumnStore;
 use crate::tuple::Tuple;

@@ -329,8 +329,8 @@ impl Relation {
         self.store.materialize(id)
     }
 
-    /// Deterministic content hash of row `id` (stable across runs and
-    /// threads; used to shard parallel matching work).
+    /// Deterministic content hash of row `id` (stable across runs; the
+    /// hash the dedup map keys rows by).
     pub fn row_hash(&self, id: TupleId) -> u64 {
         self.store.row_hash(id)
     }

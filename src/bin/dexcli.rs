@@ -121,7 +121,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
             let policy = extract_policy(&mut rest)?;
-            extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let mapping_path = rest.first().ok_or(usage)?;
             let (text, m) = load_mapping_text(mapping_path)?;
@@ -159,7 +158,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
             let policy = extract_policy(&mut rest)?;
-            extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let mapping_path = rest.first().ok_or(usage)?;
             let (text, m) = load_mapping_text(mapping_path)?;
@@ -184,7 +182,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
-            extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let dir = Path::new(rest.first().ok_or(usage)?.as_str());
             resume(dir, budget, &out)
@@ -259,7 +256,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // dexcli query <mapping> <source.json> "q(x) :- Manager(x, m)"
             let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
-            extract_threads(&mut rest)?;
             reject_unknown_flags(&rest)?;
             let m = load_mapping(rest.first().ok_or(usage)?)?;
             let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
@@ -1032,12 +1028,11 @@ fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
 /// at a durable, resumable boundary, 70 internal panic.
 fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
     let usage = "usage: dexcli migrate <store-dir> <new-schema.dex> [--dry-run] [--resume]\n\
-                 \x20      [--deny-cost <n>] [--auto-budget] [budget flags] [--threads <n>]\n\
+                 \x20      [--deny-cost <n>] [--auto-budget] [budget flags]\n\
                  \x20      [--snapshot-every <n>] [--no-sync]";
     let mut rest: Vec<&String> = args.iter().collect();
     let budget = extract_budget(&mut rest)?;
     let policy = extract_policy(&mut rest)?;
-    extract_threads(&mut rest)?;
     let dry_run = take_flag(&mut rest, "--dry-run");
     let resume_flag = take_flag(&mut rest, "--resume");
     let every = take_flag_value(&mut rest, "--snapshot-every")?;
@@ -1353,11 +1348,6 @@ cost-based admission control (lint, explain, chase, exchange):
                        an explicit --max-* flag and the synthesized cap
                        wins; unbounded predictions set no caps
 
-parallelism (chase, exchange, query, resume):
-  --threads <n>        matcher worker threads (default 1 = sequential;
-                       0 = all cores); output is bit-identical to the
-                       single-threaded chase at any thread count
-
 crash-safe persistence (chase, exchange):
   --store <dir>          WAL + snapshot every committed round into <dir>
   --snapshot-every <n>   snapshot cadence in rounds (default 64)
@@ -1528,20 +1518,6 @@ fn parse_cards(spec: &str) -> Result<SourceStats, String> {
         }
     }
     Ok(stats)
-}
-
-/// Extract `--threads <n>` and install it as the process-wide default
-/// matcher thread count (`ChaseOptions::default().threads`), so every
-/// chase started by this invocation — directly or through the lens
-/// engine — picks it up. `0` means available parallelism.
-fn extract_threads(rest: &mut Vec<&String>) -> Result<(), String> {
-    if let Some(v) = take_flag_value(rest, "--threads")? {
-        let n = v
-            .parse::<usize>()
-            .map_err(|_| format!("--threads takes a non-negative integer, got `{v}`"))?;
-        dex::chase::set_default_threads(n);
-    }
-    Ok(())
 }
 
 fn load_mapping(path: &str) -> Result<Mapping, String> {

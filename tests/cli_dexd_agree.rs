@@ -1,7 +1,7 @@
 //! Differential test: `dexcli` and `dexd` front the same request
 //! pipeline, so the same mapping, source and budget must give the same
 //! outcome class — exit 0 ↔ 200, 3 ↔ 206, 2 ↔ 422 — and the same
-//! instance JSON, byte for byte.
+//! instance JSON, byte for byte. Lint gives the same diagnostics JSON.
 //!
 //! The daemon side goes through `dexd::handlers::route` on a live
 //! server context, with no sockets in between.
@@ -32,8 +32,8 @@ const GOOD: &[&str] = &[
     "university",
 ];
 
-/// Small sources: the shipped `employees_small.json`, the sources the
-/// CI threaded smoke step writes, and one per remaining source schema.
+/// Small sources: the shipped `employees_small.json`, a few
+/// hand-written employee sources, and one per remaining source schema.
 /// Each fixture runs on every source whose relations it declares.
 const SOURCES: &[&str] = &[
     include_str!("../examples/instances/employees_small.json"),
@@ -169,6 +169,47 @@ fn chase_and_exchange_agree_on_every_good_fixture() {
             for op in ["chase", "exchange"] {
                 assert_agree(&srv, &dir, name, op, source);
             }
+        }
+    }
+    srv.shutdown();
+}
+
+#[test]
+fn lint_agrees_on_every_parsable_fixture() {
+    let names: Vec<&str> = GOOD
+        .iter()
+        .copied()
+        .chain([
+            "bad_clash",
+            "bad_non_terminating",
+            "bad_redundant",
+            "bad_uncompilable",
+            "bad_unused",
+        ])
+        .collect();
+    let srv = spawn(&names, |_| {});
+    for name in &names {
+        let (code, stdout) = cli(&["lint", "--format", "json", fixture(name).to_str().unwrap()]);
+        let report: Json = serde_json::from_str(&stdout).unwrap();
+        let (status, resp) = daemon(&srv, &format!("/v1/mappings/{name}/lint"), &Json::Null);
+        assert_eq!(
+            class_of_exit(code),
+            class_of_status(status),
+            "lint {name}: exit {code} vs status {status}: {resp}"
+        );
+        let diags = &report[0]["diagnostics"];
+        assert_eq!(
+            serde_json::to_string(diags).unwrap(),
+            serde_json::to_string(&resp["diagnostics"]).unwrap(),
+            "lint {name}: diagnostics differ"
+        );
+        // Both wires spell a code as the registry and text output do.
+        for d in diags.as_array().unwrap() {
+            let code = d["code"].as_str().unwrap();
+            assert!(
+                code.starts_with("DEX") && dex::analyze::Code::parse(code).is_some(),
+                "lint {name}: code spelled `{code}`"
+            );
         }
     }
     srv.shutdown();

@@ -114,7 +114,7 @@ fn json_output_round_trips_through_serde() {
         assert_eq!(typed, back);
     }
     assert!(diags.iter().any(|d| {
-        d["code"].as_str() == Some("Dex001") && d["severity"].as_str() == Some("Error")
+        d["code"].as_str() == Some("DEX001") && d["severity"].as_str() == Some("Error")
     }));
 }
 

@@ -172,10 +172,15 @@ fn max_rounds_above_the_default_ceiling_is_honoured() {
 }
 
 /// `query` rejects flags it does not know, like every other command,
-/// instead of silently ignoring them.
+/// instead of silently ignoring them. `--threads` is one of them: the
+/// chase matches on one thread and has no thread count to set.
 #[test]
 fn query_rejects_unknown_flags() {
-    for extra in [&["--bogus-flag"][..], &["--stats", "--format", "json"]] {
+    for extra in [
+        &["--bogus-flag"][..],
+        &["--stats", "--format", "json"],
+        &["--threads", "2"],
+    ] {
         let out = dexcli()
             .arg("query")
             .arg(repo_file("examples/mappings/employees.dex"))
