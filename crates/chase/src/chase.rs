@@ -2,13 +2,13 @@
 
 use crate::error::ChaseError;
 use dex_logic::eval::{
-    extend_matches, extend_matches_mode, for_each_match_mode, has_match_mode,
+    extend_matches, extend_matches_unordered, for_each_match_mode, has_match_mode,
     match_conjunction_mode, unify_with_tuple, MatchMode, Valuation,
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
-    Budget, ExhaustionReport, Governor, Instance, Name, NullGen, NullId, RelationalError,
-    TripReason, Tuple, Value,
+    Budget, ExhaustionReport, Governor, IndexStats, Instance, Name, NullGen, NullId,
+    RelationalError, TripReason, Tuple, Value,
 };
 use serde::{Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,6 +84,22 @@ pub struct ChaseStats {
     pub index_builds: u64,
     /// Index probes served across source and target.
     pub index_probes: u64,
+    /// Conclusions checked by one row-hash membership lookup instead
+    /// of a probe (fully determined single-atom conclusions).
+    pub membership_checks: u64,
+    /// Rows offered to unification, summed once per index probe or
+    /// relation scan.
+    pub candidates: u64,
+}
+
+impl ChaseStats {
+    /// Record the matcher work counters of a finished (or stopped) run.
+    fn note_index(&mut self, index: IndexStats) {
+        self.index_builds = index.builds;
+        self.index_probes = index.probes;
+        self.membership_checks = index.membership_checks;
+        self.candidates = index.candidates;
+    }
 }
 
 /// Version tag of the [`ChaseStats`] JSON wire format. The stats
@@ -104,6 +120,8 @@ struct ChaseStatsWire {
     delta_sizes: Vec<u64>,
     index_builds: u64,
     index_probes: u64,
+    membership_checks: u64,
+    candidates: u64,
 }
 
 impl Serialize for ChaseStats {
@@ -117,6 +135,8 @@ impl Serialize for ChaseStats {
             delta_sizes: widen(&self.delta_sizes),
             index_builds: self.index_builds,
             index_probes: self.index_probes,
+            membership_checks: self.membership_checks,
+            candidates: self.candidates,
         }
         .serialize(s)
     }
@@ -135,6 +155,8 @@ impl std::fmt::Display for ChaseStats {
         }
         writeln!(f, "  index builds:     {}", self.index_builds)?;
         writeln!(f, "  index probes:     {}", self.index_probes)?;
+        writeln!(f, "  membership checks: {}", self.membership_checks)?;
+        writeln!(f, "  candidates:       {}", self.candidates)?;
         Ok(())
     }
 }
@@ -393,7 +415,12 @@ fn run_exchange(
     let nulls_before = gen.clone();
     let mut stats = ChaseStats::default();
     let mode = opts.matcher.mode();
-    let src_stats_before = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
+    let src_stats_before = src_opt.map(Instance::index_stats).unwrap_or_default();
+    // The target's counters plus the source's since this run started.
+    let index_work = |target: &Instance| {
+        let src_now = src_opt.map(Instance::index_stats).unwrap_or_default();
+        target.index_stats() + (src_now - src_stats_before)
+    };
 
     // On a budget trip: finalize the stats counters and hand back the
     // prefix instance with the governor's report.
@@ -401,10 +428,7 @@ fn run_exchange(
         ($reason:expr, $target:expr) => {{
             let target = $target;
             stats.rounds = rounds;
-            let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
-            let (tgt_b, tgt_p) = target.index_stats();
-            stats.index_builds = tgt_b + (src_b - src_stats_before.0);
-            stats.index_probes = tgt_p + (src_p - src_stats_before.1);
+            stats.note_index(index_work(&target));
             return Ok(ChaseOutcome::Exhausted(Exhausted {
                 partial: target,
                 report: gov.report($reason),
@@ -413,9 +437,9 @@ fn run_exchange(
         }};
     }
 
-    // Report a committed boundary to the sink, if one is attached. A
-    // sink failure aborts the run: the chase must not outrun what it
-    // claims to have persisted.
+    // Report a committed boundary to the sink, if one is attached
+    // (`$delta` is evaluated only then). A sink failure aborts the run:
+    // the chase must not outrun what it claims to have persisted.
     macro_rules! checkpoint {
         ($round:expr, $delta:expr, $complete:expr) => {
             if let Some(s) = sink.as_deref_mut() {
@@ -474,7 +498,8 @@ fn run_exchange(
         // Collect this round's firing obligations against the
         // round-start instance, then sort them canonically so the
         // firing (and hence null allocation) order is independent of
-        // how the matches were enumerated.
+        // how the matches were enumerated (so they are enumerated
+        // unordered).
         let use_delta = semi_naive && !full_rematch;
         let mut pending: Vec<(usize, Valuation)> = Vec::new();
         for (ti, tgd) in mapping.target_tgds().iter().enumerate() {
@@ -487,7 +512,7 @@ fn run_exchange(
             let matches: Vec<Valuation> = if use_delta {
                 delta_matches(&tgd.lhs, &target, &delta, mode)
             } else {
-                match_conjunction_mode(&tgd.lhs, &target, mode)
+                extend_matches_unordered(&tgd.lhs, &target, &Valuation::new(), mode)
             };
             for m in matches {
                 let frontier: Valuation = m
@@ -546,13 +571,13 @@ fn run_exchange(
         // The round is committed (firings + egds): hand it to the sink
         // *before* the budget checks below, so even a round that trips
         // the governor is durably resumable. Substitution wiped the
-        // delta logs on merge rounds, so those checkpoint in full.
-        let cp_delta = if round_merged {
-            None
-        } else {
-            Some(target.peek_deltas())
-        };
-        checkpoint!(rounds as u64, cp_delta, false);
+        // delta logs on merge rounds, so those checkpoint in full. The
+        // delta is only materialized when a sink is attached.
+        checkpoint!(
+            rounds as u64,
+            (!round_merged).then(|| target.peek_deltas()),
+            false
+        );
         if gov.round_limit_hit() {
             exhaust!(TripReason::Rounds, target);
         }
@@ -561,11 +586,7 @@ fn run_exchange(
         }
     }
     stats.rounds = rounds;
-
-    let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
-    let (tgt_b, tgt_p) = target.index_stats();
-    stats.index_builds = tgt_b + (src_b - src_stats_before.0);
-    stats.index_probes = tgt_p + (src_p - src_stats_before.1);
+    stats.note_index(index_work(&target));
 
     let nulls_created = count_new_nulls(&nulls_before, &gen);
     Ok(ChaseOutcome::Complete(ExchangeResult {
@@ -581,6 +602,7 @@ fn run_exchange(
 /// occurrence to each delta tuple of its relation and extending the
 /// remaining atoms. Matches touching several delta tuples are derived
 /// once per touch; the caller's satisfaction re-check deduplicates.
+/// They come back unordered: the caller sorts them.
 fn delta_matches(
     atoms: &[Atom],
     inst: &Instance,
@@ -600,7 +622,7 @@ fn delta_matches(
             .collect();
         for t in new_tuples {
             if let Some(seed) = unify_with_tuple(atom, t, &Valuation::new()) {
-                out.extend(extend_matches_mode(&rest, inst, &seed, mode));
+                out.extend(extend_matches_unordered(&rest, inst, &seed, mode));
             }
         }
     }
@@ -748,15 +770,14 @@ pub fn enforce_egds_governed(
     let mut stats = EgdStats::default();
     macro_rules! exhaust {
         ($reason:expr) => {{
-            let (builds, probes) = target.index_stats();
+            let mut chase_stats = ChaseStats {
+                rounds: stats.rounds,
+                ..ChaseStats::default()
+            };
+            chase_stats.note_index(target.index_stats());
             return Ok(EgdOutcome::Exhausted(Exhausted {
                 report: gov.report($reason),
-                stats: ChaseStats {
-                    rounds: stats.rounds,
-                    index_builds: builds,
-                    index_probes: probes,
-                    ..ChaseStats::default()
-                },
+                stats: chase_stats,
                 partial: target,
             }));
         }};
@@ -773,9 +794,9 @@ pub fn enforce_egds_governed(
         }
         if !changed {
             stats.rounds += 1;
-            let (builds, probes) = target.index_stats();
-            stats.index_builds = builds;
-            stats.index_probes = probes;
+            let index = target.index_stats();
+            stats.index_builds = index.builds;
+            stats.index_probes = index.probes;
             return Ok(EgdOutcome::Complete {
                 instance: target,
                 stats,
@@ -1324,11 +1345,17 @@ mod tests {
         assert_eq!(stats.delta_sizes, vec![2, 2]);
         assert_eq!(stats.firings_per_round, vec![2, 0]);
         assert_eq!(stats.rounds, 1);
-        assert!(stats.index_probes > 0, "indexed mode probed");
-        // Scan oracle: same instance, no probes.
+        // Every conclusion here is fully bound: indexed mode answers
+        // each re-check with a membership check.
+        assert!(
+            stats.membership_checks > 0,
+            "indexed mode checked membership"
+        );
+        // Scan oracle: same instance, no probes, no membership checks.
         let scan = exchange_with(&m, &src, scan_opts()).unwrap();
         assert_eq!(scan.target, res.target);
         assert_eq!(scan.stats.index_probes, 0);
+        assert_eq!(scan.stats.membership_checks, 0);
     }
 
     #[test]

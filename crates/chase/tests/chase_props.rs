@@ -44,7 +44,12 @@ fn mappings() -> Vec<Mapping> {
 }
 
 /// Mappings that exercise the phase-2 target chase: chained target
-/// tgds, a target join premise, and egds interleaved with tgds.
+/// tgds, a target join premise, egds interleaved with tgds, and target
+/// tgds whose conclusions are fully bound when re-checked (so the
+/// indexed chase answers them by membership) — with a constant, with a
+/// repeated variable, and over a relation that has no facts until the
+/// tgd fires. The parser accepts no function terms; the membership
+/// check on one is covered by `dex-logic`'s eval tests.
 fn target_dep_mappings() -> Vec<Mapping> {
     vec![
         parse_mapping(
@@ -79,6 +84,33 @@ fn target_dep_mappings() -> Vec<Mapping> {
             E1(x) -> Manager(x, y);
             E2(x) -> Manager(x, y);
             Manager(x, y) -> Peer(y);
+            "#,
+        )
+        .unwrap(),
+        parse_mapping(
+            r#"
+            source E(p, c);
+            target P(p, c);
+            target Q(a, b);
+            target Lone(a);
+            E(x, y) -> P(x, y);
+            P(x, y) -> Q(x, "k");
+            P(x, y) -> Q(y, y);
+            Q(x, x) -> Lone(x);
+            "#,
+        )
+        .unwrap(),
+        parse_mapping(
+            r#"
+            source E(p, c);
+            target P(p, c);
+            target R(a, b);
+            target Empty(a);
+            E(x, y) -> P(x, y);
+            P(x, y) & P(y, z) -> R(x, z);
+            R(x, z) -> R(z, x);
+            P(x, y) & Empty(x) -> R(x, x);
+            P(x, y) -> R(x, y) & R(y, y);
             "#,
         )
         .unwrap(),

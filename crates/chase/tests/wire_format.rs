@@ -16,13 +16,16 @@ fn chase_stats_wire_format_is_pinned() {
         delta_sizes: vec![4, 3, 1],
         index_builds: 5,
         index_probes: 17,
+        membership_checks: 9,
+        candidates: 23,
     };
     let got = serde_json::to_string(&stats).expect("stats serialize");
     assert_eq!(
         got,
         "{\"v\":1,\"st_firings\":4,\"rounds\":2,\
          \"firings_per_round\":[3,1,0],\"delta_sizes\":[4,3,1],\
-         \"index_builds\":5,\"index_probes\":17}"
+         \"index_builds\":5,\"index_probes\":17,\
+         \"membership_checks\":9,\"candidates\":23}"
     );
 }
 

@@ -9,9 +9,20 @@
 //! indexes on whichever bound position has the shortest posting list,
 //! so a tuple is only visited if it agrees with the valuation on that
 //! position. [`MatchMode::Scan`] visits every tuple of the relation.
-//! Both modes pick atoms in the same greedy order and enumerate
-//! candidates in canonical tuple order, so they produce identical
-//! match lists; `Scan` is kept as a correctness oracle.
+//! Both modes pick atoms in the same greedy order.
+//!
+//! Candidate order is only paid for where it shows. The enumerations
+//! that return or stream matches ([`match_conjunction`],
+//! [`extend_matches`], [`for_each_match_mode`]) visit candidates in
+//! canonical tuple order in both modes, so they produce identical match
+//! lists; the chase's phase-1 firing order and its egd first-violation
+//! scan rest on that. Existence checks ([`has_match`]) and
+//! [`extend_matches_unordered`], whose caller sorts the matches itself,
+//! take posting lists and scans in arena order under `Indexed`, and
+//! `Indexed` answers an existence check whose single atom is fully
+//! determined by one row-hash membership check instead of a probe.
+//! `Scan` always enumerates in canonical order; it is kept as a
+//! correctness oracle.
 //!
 //! Backtracking binds and unbinds variables in a single valuation
 //! (with an undo log) instead of cloning the valuation per candidate
@@ -62,11 +73,24 @@ pub fn extend_matches_mode(
     partial: &Valuation,
     mode: MatchMode,
 ) -> Vec<Valuation> {
+    collect_matches(Search::new(inst, mode, Order::Canonical), atoms, partial)
+}
+
+/// The matches of [`extend_matches_mode`] in no particular order, for
+/// callers that sort the matches themselves: `Indexed` mode skips the
+/// canonical sort of every posting list and scan.
+pub fn extend_matches_unordered(
+    atoms: &[Atom],
+    inst: &Instance,
+    partial: &Valuation,
+    mode: MatchMode,
+) -> Vec<Valuation> {
+    collect_matches(Search::new(inst, mode, Order::Any), atoms, partial)
+}
+
+fn collect_matches(cx: Search<'_>, atoms: &[Atom], partial: &Valuation) -> Vec<Valuation> {
     let mut out = Vec::new();
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    let mut v = partial.clone();
-    let mut undo = Vec::new();
-    search(&mut remaining, inst, &mut v, &mut undo, mode, &mut |m| {
+    cx.run(atoms, partial, &mut |m| {
         out.push(m.clone());
         false
     });
@@ -74,13 +98,12 @@ pub fn extend_matches_mode(
 }
 
 /// Stream every extension of `partial` satisfying the conjunction to
-/// `emit`; returning `true` from `emit` stops the enumeration early.
-/// Returns whether the enumeration was stopped.
+/// `emit`, in canonical order; returning `true` from `emit` stops the
+/// enumeration early. Returns whether the enumeration was stopped.
 ///
-/// This is the streaming primitive behind [`extend_matches_mode`] and
-/// [`has_match_mode`]. Governed callers use it to check resource
-/// budgets between matches without materializing the full match set
-/// first.
+/// This is the streaming form of [`extend_matches_mode`]. Governed
+/// callers use it to check resource budgets between matches
+/// without materializing the full match set first.
 pub fn for_each_match_mode(
     atoms: &[Atom],
     inst: &Instance,
@@ -88,10 +111,7 @@ pub fn for_each_match_mode(
     mode: MatchMode,
     emit: &mut dyn FnMut(&Valuation) -> bool,
 ) -> bool {
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    let mut v = partial.clone();
-    let mut undo = Vec::new();
-    search(&mut remaining, inst, &mut v, &mut undo, mode, emit)
+    Search::new(inst, mode, Order::Canonical).run(atoms, partial, emit)
 }
 
 /// Does at least one extension of `partial` satisfy the conjunction?
@@ -100,17 +120,23 @@ pub fn has_match(atoms: &[Atom], inst: &Instance, partial: &Valuation) -> bool {
     has_match_mode(atoms, inst, partial, MatchMode::default())
 }
 
-/// [`has_match`] with an explicit matching mode.
+/// [`has_match`] with an explicit matching mode. Under `Indexed`, a
+/// single atom whose every term `partial` determines is one row-hash
+/// membership check.
 pub fn has_match_mode(
     atoms: &[Atom],
     inst: &Instance,
     partial: &Valuation,
     mode: MatchMode,
 ) -> bool {
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    let mut v = partial.clone();
-    let mut undo = Vec::new();
-    search(&mut remaining, inst, &mut v, &mut undo, mode, &mut |_| true)
+    if let (MatchMode::Indexed, [atom]) = (mode, atoms) {
+        if let Some(row) = atom.instantiate(partial) {
+            return inst
+                .relation(atom.relation.as_str())
+                .is_some_and(|rel| rel.contains_counted(&row));
+        }
+    }
+    Search::new(inst, mode, Order::Any).run(atoms, partial, &mut |_| true)
 }
 
 /// Extend `partial` so that `atom` matches `tuple` exactly. Returns
@@ -226,22 +252,58 @@ pub fn premise_plan(atoms: &[Atom], pre_bound: &[Name]) -> PremisePlan {
     PremisePlan { steps }
 }
 
+/// Whether an enumeration's order shows to its caller.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Visit candidates in canonical tuple order.
+    Canonical,
+    /// Visit candidates in whatever order the posting list or arena
+    /// holds them.
+    Any,
+}
+
+/// What one enumeration reads and how: fixed for the whole search.
+#[derive(Clone, Copy)]
+struct Search<'i> {
+    inst: &'i Instance,
+    mode: MatchMode,
+    order: Order,
+}
+
+impl<'i> Search<'i> {
+    fn new(inst: &'i Instance, mode: MatchMode, order: Order) -> Self {
+        // The scan oracle keeps to canonical order whatever the caller
+        // needs, so it stays the literal reference for `Indexed`.
+        let order = match mode {
+            MatchMode::Indexed => order,
+            MatchMode::Scan => Order::Canonical,
+        };
+        Search { inst, mode, order }
+    }
+
+    fn run(
+        self,
+        atoms: &[Atom],
+        partial: &Valuation,
+        emit: &mut dyn FnMut(&Valuation) -> bool,
+    ) -> bool {
+        let mut remaining: Vec<&Atom> = atoms.iter().collect();
+        let mut v = partial.clone();
+        let mut undo = Vec::new();
+        search(self, &mut remaining, &mut v, &mut undo, emit)
+    }
+}
+
 fn pick_next(remaining: &[&Atom], inst: &Instance, v: &Valuation) -> Option<usize> {
-    if remaining.is_empty() {
-        return None;
+    if remaining.len() <= 1 {
+        return (!remaining.is_empty()).then_some(0);
     }
     let score = |a: &Atom| -> (usize, usize) {
-        let bound = a
-            .variables()
-            .iter()
-            .filter(|x| v.contains_key(x.as_str()))
-            .count();
-        let unbound = a.variables().len() - bound;
         let size = inst
             .relation(a.relation.as_str())
             .map(|r| r.len())
             .unwrap_or(0);
-        (unbound, size)
+        (unbound_vars(&a.args, v, &|_| false), size)
     };
     let mut best = 0;
     let mut best_score = score(remaining[0]);
@@ -255,54 +317,90 @@ fn pick_next(remaining: &[&Atom], inst: &Instance, v: &Valuation) -> Option<usiz
     Some(best)
 }
 
+/// How many distinct variables of `terms` `v` leaves unbound, not
+/// counting those `counted` already saw: `Atom::variables` filtered by
+/// `v`, without allocating.
+fn unbound_vars(terms: &[Term], v: &Valuation, counted: &dyn Fn(&Name) -> bool) -> usize {
+    let mut n = 0;
+    for (i, t) in terms.iter().enumerate() {
+        let earlier = |x: &Name| counted(x) || terms[..i].iter().any(|s| mentions(s, x));
+        n += match t {
+            Term::Var(x) => usize::from(!v.contains_key(x) && !earlier(x)),
+            Term::Const(_) => 0,
+            Term::Func(_, args) => unbound_vars(args, v, &earlier),
+        };
+    }
+    n
+}
+
+fn mentions(t: &Term, x: &Name) -> bool {
+    match t {
+        Term::Var(y) => y == x,
+        Term::Const(_) => false,
+        Term::Func(_, args) => args.iter().any(|a| mentions(a, x)),
+    }
+}
+
 /// The shortest index probe available for `atom` under `v`: among the
 /// positions whose term is already determined (a constant, a bound
 /// variable, or an evaluable function term), probe the one with the
 /// fewest matching tuples. `None` if no position is determined. The
-/// probe yields tuple *ids*; candidates are unified by reading the
-/// relation's columns in place.
-fn best_probe(atom: &Atom, rel: &Relation, v: &Valuation) -> Option<Vec<TupleId>> {
-    let bound: Vec<(usize, Value)> = atom
+/// probe yields tuple *ids*, copied out of the posting list; candidates
+/// are unified by reading the relation's columns in place.
+fn best_probe(atom: &Atom, rel: &Relation, v: &Valuation, order: Order) -> Option<Vec<TupleId>> {
+    let mut determined = atom
         .args
         .iter()
         .enumerate()
-        .filter_map(|(pos, term)| term.eval(v).map(|val| (pos, val)))
-        .collect();
-    let (pos, val) = bound
-        .iter()
-        .min_by_key(|(pos, val)| rel.posting_len(*pos, val))?;
-    Some(rel.probe_ids(*pos, val))
+        .filter_map(|(pos, term)| term.eval(v).map(|val| (pos, val)));
+    let first = determined.next()?;
+    // One determined position leaves nothing to choose, so no posting
+    // length is asked for.
+    let (pos, val) = match determined.next() {
+        None => first,
+        Some(second) => [first, second]
+            .into_iter()
+            .chain(determined)
+            .min_by_key(|(pos, val)| rel.posting_len(*pos, val))?,
+    };
+    Some(match order {
+        Order::Canonical => rel.probe_ids(pos, &val),
+        Order::Any => rel.probe_ids_unordered(pos, &val),
+    })
 }
 
 /// Depth-first join search. `emit` is called on every complete match;
 /// returning `true` stops the search (used by `has_match`). Returns
 /// whether the search was stopped.
 fn search(
+    cx: Search<'_>,
     remaining: &mut Vec<&Atom>,
-    inst: &Instance,
     v: &mut Valuation,
     undo: &mut Vec<Name>,
-    mode: MatchMode,
     emit: &mut dyn FnMut(&Valuation) -> bool,
 ) -> bool {
-    let Some(idx) = pick_next(remaining, inst, v) else {
+    let Some(idx) = pick_next(remaining, cx.inst, v) else {
         return emit(v);
     };
     let atom = remaining.swap_remove(idx);
-    let stopped = match inst.relation(atom.relation.as_str()) {
+    let stopped = match cx.inst.relation(atom.relation.as_str()) {
         None => false,
         Some(rel) => {
-            let probe = match mode {
-                MatchMode::Indexed => best_probe(atom, rel, v),
+            let probe = match cx.mode {
+                MatchMode::Indexed => best_probe(atom, rel, v, cx.order),
                 MatchMode::Scan => None,
             };
-            match probe {
-                Some(ids) => try_candidates(rel, &ids, atom, remaining, inst, v, undo, mode, emit),
-                None => {
-                    // Full scan (no determined position, or oracle
-                    // mode): all live rows in canonical order.
+            let mut step = |ids: &mut dyn Iterator<Item = TupleId>, n: usize| {
+                rel.note_candidates(n);
+                try_candidates(cx, rel, ids, atom, remaining, v, undo, emit)
+            };
+            match (probe, cx.order) {
+                (Some(ids), _) => step(&mut ids.iter().copied(), ids.len()),
+                // Full scan (no determined position, or oracle mode).
+                (None, Order::Any) => step(&mut rel.live_ids(), rel.len()),
+                (None, Order::Canonical) => {
                     let ids = rel.row_ids();
-                    try_candidates(rel, &ids, atom, remaining, inst, v, undo, mode, emit)
+                    step(&mut ids.iter().copied(), ids.len())
                 }
             }
         }
@@ -313,19 +411,18 @@ fn search(
 
 #[allow(clippy::too_many_arguments)]
 fn try_candidates(
+    cx: Search<'_>,
     rel: &Relation,
-    candidates: &[TupleId],
+    candidates: &mut dyn Iterator<Item = TupleId>,
     atom: &Atom,
     remaining: &mut Vec<&Atom>,
-    inst: &Instance,
     v: &mut Valuation,
     undo: &mut Vec<Name>,
-    mode: MatchMode,
     emit: &mut dyn FnMut(&Valuation) -> bool,
 ) -> bool {
-    for &id in candidates {
+    for id in candidates {
         let mark = undo.len();
-        if unify_row(atom, rel, id, v, undo) && search(remaining, inst, v, undo, mode, emit) {
+        if unify_row(atom, rel, id, v, undo) && search(cx, remaining, v, undo, emit) {
             rollback(v, undo, mark);
             return true;
         }
@@ -502,6 +599,95 @@ mod tests {
                 has_match_mode(&atoms, &db(), &Valuation::new(), MatchMode::Indexed),
                 has_match_mode(&atoms, &db(), &Valuation::new(), MatchMode::Scan),
             );
+        }
+    }
+
+    #[test]
+    fn membership_check_agrees_with_scan() {
+        let schema = Schema::with_relations(vec![
+            RelSchema::untyped("Boss", vec!["emp", "mgr"]).unwrap(),
+            RelSchema::untyped("Empty", vec!["a"]).unwrap(),
+        ])
+        .unwrap();
+        let mut inst = Instance::empty(schema);
+        let skolem = Value::skolem("f", vec![Value::str("Alice")]);
+        inst.insert("Boss", Tuple::new(vec![Value::str("Alice"), skolem]))
+            .unwrap();
+        inst.insert("Boss", tuple!["Bob", "Bob"]).unwrap();
+        let f_of = |x: &str| Term::func("f", vec![Term::var(x)]);
+        let cases: Vec<(Atom, &[(&str, &str)])> = vec![
+            // Function term over a bound variable.
+            (
+                Atom::new("Boss", vec![Term::var("x"), f_of("x")]),
+                &[("x", "Alice")],
+            ),
+            (
+                Atom::new("Boss", vec![Term::var("x"), f_of("x")]),
+                &[("x", "Bob")],
+            ),
+            // Constant.
+            (
+                Atom::new("Boss", vec![Term::cnst("Bob"), Term::var("y")]),
+                &[("y", "Bob")],
+            ),
+            (
+                Atom::new("Boss", vec![Term::cnst("Zed"), Term::var("y")]),
+                &[("y", "Bob")],
+            ),
+            // Repeated variable.
+            (Atom::vars("Boss", &["x", "x"]), &[("x", "Bob")]),
+            (Atom::vars("Boss", &["x", "x"]), &[("x", "Alice")]),
+            // A relation with no facts, and one the instance lacks.
+            (Atom::vars("Empty", &["x"]), &[("x", "Bob")]),
+            (Atom::vars("Nope", &["x"]), &[("x", "Bob")]),
+            // Not fully bound: the search path.
+            (Atom::vars("Boss", &["x", "y"]), &[("x", "Bob")]),
+        ];
+        for (atom, bound) in cases {
+            let partial: Valuation = bound
+                .iter()
+                .map(|&(x, c)| (Name::new(x), Value::str(c)))
+                .collect();
+            let atoms = [atom];
+            assert_eq!(
+                has_match_mode(&atoms, &inst, &partial, MatchMode::Indexed),
+                has_match_mode(&atoms, &inst, &partial, MatchMode::Scan),
+                "{atoms:?} under {partial:?}"
+            );
+        }
+        let stats = inst.index_stats();
+        // Seven fully bound atoms over relations the instance has; the
+        // unknown relation has no counter to bump.
+        assert_eq!(
+            stats.membership_checks, 7,
+            "fully bound atoms skip the probe"
+        );
+    }
+
+    #[test]
+    fn unbound_vars_counts_distinct_unbound_variables() {
+        let f = |args: Vec<Term>| Term::func("f", args);
+        let atoms = [
+            Atom::vars("R", &["x", "y", "x"]),
+            Atom::new("R", vec![Term::cnst("c"), Term::var("y")]),
+            Atom::new(
+                "R",
+                vec![Term::var("x"), f(vec![Term::var("x"), Term::var("z")])],
+            ),
+            Atom::new(
+                "R",
+                vec![f(vec![Term::var("z"), Term::var("y")]), Term::var("z")],
+            ),
+        ];
+        for bound in [&[][..], &["x"], &["y", "z"], &["x", "y", "z"]] {
+            let v: Valuation = bound
+                .iter()
+                .map(|&x| (Name::new(x), Value::str("c")))
+                .collect();
+            for a in &atoms {
+                let want = a.variables().iter().filter(|x| !v.contains_key(*x)).count();
+                assert_eq!(unbound_vars(&a.args, &v, &|_| false), want, "{a:?} / {v:?}");
+            }
         }
     }
 

@@ -23,26 +23,32 @@
 //!   and remove as deltas stream through), shared by
 //!   `dex_rellens::incremental` join nodes.
 //!
-//! Probes return ids sorted in canonical (lexicographic row) order
-//! regardless of arena order, so index-backed enumeration is
-//! byte-identical to a filtered scan — the property the matcher's
-//! `Indexed`/`Scan` equivalence rests on. The posting lists themselves
-//! hold arena ids, not tuples: consumers on the hot path read matched
-//! positions straight out of the columns by `(tuple_id, col)` and only
-//! materialize rows at the API boundary.
+//! [`probe_ids`](IndexState::probe_ids) returns ids sorted in
+//! canonical (lexicographic row) order regardless of arena order, so
+//! index-backed enumeration is byte-identical to a filtered scan — the
+//! property the matcher's `Indexed`/`Scan` equivalence rests on where
+//! enumeration order shows. Callers to whom order does not show (an
+//! existence check, a collection the caller sorts itself) take
+//! [`probe_ids_unordered`](IndexState::probe_ids_unordered): the same
+//! ids in posting order, without the content sort. The posting lists
+//! themselves hold arena ids, not tuples: consumers on the hot path
+//! read matched positions straight out of the columns by
+//! `(tuple_id, col)` and only materialize rows at the API boundary.
 //!
 //! Interior mutability: indexes are built lazily behind an `RwLock` on
 //! a shared (`&Relation`) receiver, so matching code can probe during
 //! read-only traversals and a shared instance stays `Sync`. Probes
 //! copy their matching ids out under a short-lived guard — no guard
-//! ever escapes this module, so recursive probes across relations
-//! cannot deadlock.
+//! ever escapes this module, so a recursive probe cannot deadlock, not
+//! even one that builds another position of the same relation under
+//! the write lock.
 
 use crate::columns::ColumnStore;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::{Add, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -95,6 +101,46 @@ struct Built {
     by_pos: HashMap<usize, HashMap<Value, Vec<TupleId>>>,
 }
 
+/// Cumulative work counters of a relation's matcher-facing reads;
+/// [`Instance::index_stats`](crate::Instance::index_stats) sums them
+/// over relations. Every counter is deterministic for a deterministic
+/// sequence of reads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Posting-map (re)builds.
+    pub builds: u64,
+    /// Index probes served, posting-length queries included.
+    pub probes: u64,
+    /// Membership checks answered by the row hash.
+    pub membership_checks: u64,
+    /// Rows offered to unification, summed once per probe or scan.
+    pub candidates: u64,
+}
+
+impl Add for IndexStats {
+    type Output = IndexStats;
+    fn add(self, o: IndexStats) -> IndexStats {
+        IndexStats {
+            builds: self.builds + o.builds,
+            probes: self.probes + o.probes,
+            membership_checks: self.membership_checks + o.membership_checks,
+            candidates: self.candidates + o.candidates,
+        }
+    }
+}
+
+impl Sub for IndexStats {
+    type Output = IndexStats;
+    fn sub(self, o: IndexStats) -> IndexStats {
+        IndexStats {
+            builds: self.builds - o.builds,
+            probes: self.probes - o.probes,
+            membership_checks: self.membership_checks - o.membership_checks,
+            candidates: self.candidates - o.candidates,
+        }
+    }
+}
+
 /// Cache + delta state carried by every `Relation`.
 ///
 /// Compares equal to everything (it is derived data), defaults to
@@ -108,6 +154,10 @@ pub struct IndexState {
     builds: AtomicU64,
     /// How many probes (including posting-length queries) were served.
     probes: AtomicU64,
+    /// How many matcher membership checks were served.
+    memberships: AtomicU64,
+    /// Rows the matcher offered to unification.
+    candidates: AtomicU64,
 }
 
 impl Default for IndexState {
@@ -117,6 +167,8 @@ impl Default for IndexState {
             delta: Vec::new(),
             builds: AtomicU64::new(0),
             probes: AtomicU64::new(0),
+            memberships: AtomicU64::new(0),
+            candidates: AtomicU64::new(0),
         }
     }
 }
@@ -212,24 +264,45 @@ impl IndexState {
         &self.delta
     }
 
-    /// (index builds, index probes) served so far by this relation.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (
-            self.builds.load(Ordering::Relaxed),
-            self.probes.load(Ordering::Relaxed),
-        )
+    /// Work counters served so far by this relation.
+    pub(crate) fn stats(&self) -> IndexStats {
+        IndexStats {
+            builds: self.builds.load(Ordering::Relaxed),
+            probes: self.probes.load(Ordering::Relaxed),
+            membership_checks: self.memberships.load(Ordering::Relaxed),
+            candidates: self.candidates.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn note_membership_check(&self) {
+        self.memberships.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_candidates(&self, n: usize) {
+        self.candidates.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Ids of rows matching `value` at `pos`, in canonical order.
     pub(crate) fn probe_ids(&self, store: &ColumnStore, pos: usize, value: &Value) -> Vec<TupleId> {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let mut out = self.with_postings(store, pos, |postings| {
-            postings.get(value).cloned().unwrap_or_default()
-        });
+        let mut out = self.probe_ids_unordered(store, pos, value);
         // Appended ids trail the canonical prefix; restore canonical
         // order so index-backed enumeration matches a filtered scan.
         store.sort_canonical(&mut out);
         out
+    }
+
+    /// Ids of rows matching `value` at `pos`, in posting order. The ids
+    /// are copied out, so no guard outlives the call.
+    pub(crate) fn probe_ids_unordered(
+        &self,
+        store: &ColumnStore,
+        pos: usize,
+        value: &Value,
+    ) -> Vec<TupleId> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.with_postings(store, pos, |postings| {
+            postings.get(value).cloned().unwrap_or_default()
+        })
     }
 
     /// Posting-list length for `value` at `pos` (for join ordering).
@@ -426,9 +499,9 @@ mod tests {
         let ids = state.probe_ids(&store, 0, &crate::value::Value::str("x"));
         assert_eq!(ids.len(), 1);
 
-        let (builds, probes) = state.stats();
-        assert!(builds >= 2, "postings rebuilt after removal");
-        assert_eq!(probes, 3);
+        let stats = state.stats();
+        assert!(stats.builds >= 2, "postings rebuilt after removal");
+        assert_eq!(stats.probes, 3);
     }
 
     #[test]
@@ -444,7 +517,7 @@ mod tests {
                 .len(),
             1
         );
-        let (builds_before, _) = state.stats();
+        let builds_before = state.stats().builds;
 
         // Insert via the append path: no full rebuild, and the probe
         // still sees the new row — in canonical order, even though
@@ -468,7 +541,10 @@ mod tests {
                 .len(),
             1
         );
-        let (builds_after, _) = state.stats();
-        assert_eq!(builds_after, builds_before, "appends avoid rebuilds");
+        assert_eq!(
+            state.stats().builds,
+            builds_before,
+            "appends avoid rebuilds"
+        );
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::RelationalError;
 use crate::fd::FdViolation;
+use crate::index::IndexStats;
 use crate::name::Name;
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -134,13 +135,12 @@ impl Instance {
         self.relations.values().map(Relation::delta_len).sum()
     }
 
-    /// Cumulative (index builds, index probes) summed over all
-    /// relation instances.
-    pub fn index_stats(&self) -> (u64, u64) {
+    /// Cumulative work counters summed over all relation instances.
+    pub fn index_stats(&self) -> IndexStats {
         self.relations
             .values()
             .map(Relation::index_stats)
-            .fold((0, 0), |(b, p), (rb, rp)| (b + rb, p + rp))
+            .fold(IndexStats::default(), |a, b| a + b)
     }
 
     /// Remove a fact; `true` if it was present.
@@ -465,7 +465,7 @@ mod tests {
         let rel = i.relation("Manager").unwrap();
         assert_eq!(rel.probe_ids(1, &Value::null(0)).len(), 2);
         assert_eq!(rel.probe_ids(0, &Value::str("Alice")).len(), 2);
-        let builds = rel.index_stats().0;
+        let builds = rel.index_stats().builds;
         let s = BTreeMap::from([(NullId(0), Value::str("Ted"))]);
         let want = i.substitute_nulls(&s);
         i.substitute_nulls_in_place(&s);
@@ -473,7 +473,7 @@ mod tests {
         assert_eq!(i.fact_count(), 3, "(Alice, Ted) merged with its image");
         let rel = i.relation("Manager").unwrap();
         assert!(rel.probe_ids(1, &Value::null(0)).is_empty());
-        assert_eq!(rel.index_stats().0, builds, "postings stayed warm");
+        assert_eq!(rel.index_stats().builds, builds, "postings stayed warm");
         let teds: Vec<Tuple> = rel
             .probe_ids(1, &Value::str("Ted"))
             .into_iter()

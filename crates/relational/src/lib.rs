@@ -53,7 +53,7 @@ pub use governor::{Budget, CancelToken, ExhaustionReport, Governor, TripReason};
 pub use homomorphism::{
     find_homomorphism, homomorphically_equivalent, is_homomorphic_to, Homomorphism,
 };
-pub use index::{Probe, TupleId, TupleIndex};
+pub use index::{IndexStats, Probe, TupleId, TupleIndex};
 pub use instance::Instance;
 pub use name::Name;
 pub use relation::{RelIter, Relation};

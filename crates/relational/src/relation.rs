@@ -3,7 +3,7 @@
 use crate::columns::ColumnStore;
 use crate::error::RelationalError;
 use crate::fd::FdViolation;
-use crate::index::{IndexState, Probe, TupleId};
+use crate::index::{IndexState, IndexStats, Probe, TupleId};
 use crate::name::Name;
 use crate::schema::RelSchema;
 use crate::tuple::Tuple;
@@ -298,6 +298,13 @@ impl Relation {
         self.store.contains(t)
     }
 
+    /// [`contains`](Relation::contains) on behalf of a matcher: the same
+    /// row-hash lookup, counted in [`IndexStats::membership_checks`].
+    pub fn contains_counted(&self, t: &Tuple) -> bool {
+        self.index.note_membership_check();
+        self.store.contains(t)
+    }
+
     /// Iterate over tuples in canonical order (rows are materialized
     /// lazily from the column arena).
     pub fn iter(&self) -> RelIter<'_> {
@@ -317,6 +324,12 @@ impl Relation {
     /// snapshot: later mutations produce a fresh permutation.
     pub fn row_ids(&self) -> Arc<Vec<TupleId>> {
         self.store.ordered_ids()
+    }
+
+    /// Live tuple ids in arena order, for scans whose order does not
+    /// show: no canonical permutation is computed.
+    pub fn live_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.store.live_ids()
     }
 
     /// The value at `(tuple_id, col)` — the columnar hot-path read.
@@ -364,15 +377,27 @@ impl Relation {
         self.index.probe_ids(&self.store, pos, value)
     }
 
+    /// [`probe_ids`](Relation::probe_ids) in posting order, without the
+    /// canonical sort: for callers to whom enumeration order does not
+    /// show.
+    pub fn probe_ids_unordered(&self, pos: usize, value: &Value) -> Vec<TupleId> {
+        self.index.probe_ids_unordered(&self.store, pos, value)
+    }
+
     /// How many tuples carry `value` at position `pos` (index-backed;
     /// used to order join probes by selectivity).
     pub fn posting_len(&self, pos: usize, value: &Value) -> usize {
         self.index.posting_len(&self.store, pos, value)
     }
 
-    /// Cumulative (index builds, index probes) served by this
-    /// relation instance.
-    pub fn index_stats(&self) -> (u64, u64) {
+    /// Count `n` rows a matcher offered to unification from one probe
+    /// or scan, in [`IndexStats::candidates`].
+    pub fn note_candidates(&self, n: usize) {
+        self.index.note_candidates(n);
+    }
+
+    /// Cumulative work counters served by this relation instance.
+    pub fn index_stats(&self) -> IndexStats {
         self.index.stats()
     }
 

@@ -40,13 +40,38 @@ pub struct ChaseState {
     pub complete: bool,
 }
 
+/// A borrowed [`ChaseState`]: what a snapshot records, read in place
+/// from a running chase instead of cloned out of it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StateView<'a> {
+    pub(crate) instance: &'a Instance,
+    pub(crate) round: u64,
+    pub(crate) next_null: u64,
+    pub(crate) complete: bool,
+}
+
+impl ChaseState {
+    pub(crate) fn view(&self) -> StateView<'_> {
+        StateView {
+            instance: &self.instance,
+            round: self.round,
+            next_null: self.next_null,
+            complete: self.complete,
+        }
+    }
+}
+
 /// Encode a chase state to framed snapshot bytes.
 pub fn encode(state: &ChaseState) -> Vec<u8> {
+    encode_view(state.view())
+}
+
+fn encode_view(state: StateView<'_>) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u8(if state.complete { FLAG_COMPLETE } else { 0 });
     e.put_u64(state.round);
     e.put_u64(state.next_null);
-    e.put_instance(&state.instance);
+    e.put_instance(state.instance);
     blob::frame(SNAPSHOT_MAGIC, &e.into_bytes())
 }
 
@@ -75,7 +100,12 @@ pub fn decode(bytes: &[u8], file: &str) -> Result<ChaseState, StoreError> {
 /// keeps the ordering. The `store.snapshot_write` and
 /// `store.snapshot_rename` fail-point sites fire here.
 pub fn write(dir: &Path, state: &ChaseState, sync: bool) -> Result<(), StoreError> {
-    let bytes = encode(state);
+    write_view(dir, state.view(), sync)
+}
+
+/// [`write`] from a borrowed state.
+pub(crate) fn write_view(dir: &Path, state: StateView<'_>, sync: bool) -> Result<(), StoreError> {
+    let bytes = encode_view(state);
     let tmp = dir.join(TMP_FILE);
     let dst = dir.join(SNAPSHOT_FILE);
 

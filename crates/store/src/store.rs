@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use crate::blob;
 use crate::codec::{Decoder, Encoder};
 use crate::error::StoreError;
-use crate::snapshot::{self, ChaseState};
+use crate::snapshot::{self, ChaseState, StateView};
 use crate::wal::{self, WalRecord};
 use dex_chase::{Checkpoint, CheckpointSink};
 use dex_relational::fail::{self, FailAction};
@@ -308,42 +308,39 @@ impl Store {
     /// Persist one chase checkpoint. Round 0 (the phase-1 output) and
     /// the final fixpoint become snapshots; every other round is a WAL
     /// append, with a periodic snapshot every
-    /// [`StoreOptions::snapshot_every`] rounds.
+    /// [`StoreOptions::snapshot_every`] rounds. Nothing is cloned: the
+    /// snapshot and the WAL record are encoded from the borrowed
+    /// checkpoint, so a WAL-only round costs O(its delta).
     pub fn record_checkpoint(&mut self, cp: &Checkpoint<'_>) -> Result<(), StoreError> {
-        let state = ChaseState {
-            instance: cp.target.clone(),
+        if cp.complete || cp.round == 0 {
+            return self.snapshot(cp);
+        }
+
+        let rec = match &cp.delta {
+            Some(batches) => wal::encode_delta(cp.round, cp.next_null, batches),
+            // An egd merge rewrote the instance in place; no delta
+            // batch can express that, so log the full state.
+            None => wal::encode_full(cp.round, cp.next_null, cp.target),
+        };
+        self.append_wal(&rec)?;
+
+        if cp.round - self.last_snapshot_round >= self.opts.snapshot_every {
+            self.snapshot(cp)?;
+        }
+        Ok(())
+    }
+
+    /// Snapshot the checkpoint's state, then truncate the WAL.
+    fn snapshot(&mut self, cp: &Checkpoint<'_>) -> Result<(), StoreError> {
+        let state = StateView {
+            instance: cp.target,
             round: cp.round,
             next_null: cp.next_null,
             complete: cp.complete,
         };
-        if cp.complete || cp.round == 0 {
-            snapshot::write(&self.dir, &state, self.opts.sync)?;
-            self.last_snapshot_round = cp.round;
-            return self.truncate_wal();
-        }
-
-        let rec = match &cp.delta {
-            Some(batches) => WalRecord::Delta {
-                round: cp.round,
-                next_null: cp.next_null,
-                batches: batches.clone(),
-            },
-            // An egd merge rewrote the instance in place; no delta
-            // batch can express that, so log the full state.
-            None => WalRecord::Full {
-                round: cp.round,
-                next_null: cp.next_null,
-                instance: cp.target.clone(),
-            },
-        };
-        self.append_wal(&wal::encode_record(&rec))?;
-
-        if cp.round - self.last_snapshot_round >= self.opts.snapshot_every {
-            snapshot::write(&self.dir, &state, self.opts.sync)?;
-            self.last_snapshot_round = cp.round;
-            self.truncate_wal()?;
-        }
-        Ok(())
+        snapshot::write_view(&self.dir, state, self.opts.sync)?;
+        self.last_snapshot_round = cp.round;
+        self.truncate_wal()
     }
 
     fn append_wal(&mut self, bytes: &[u8]) -> Result<(), StoreError> {

@@ -87,36 +87,48 @@ pub fn header_bytes() -> Vec<u8> {
 
 /// Encode one record, framed and checksummed, ready to append.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut e = Encoder::new();
     match rec {
         WalRecord::Delta {
             round,
             next_null,
             batches,
-        } => {
-            e.put_u8(KIND_DELTA);
-            e.put_u64(*round);
-            e.put_u64(*next_null);
-            e.put_u32(batches.len() as u32);
-            for (name, tuples) in batches {
-                e.put_str(name.as_str());
-                e.put_u32(tuples.len() as u32);
-                for t in tuples {
-                    e.put_tuple(t);
-                }
-            }
-        }
+        } => encode_delta(*round, *next_null, batches),
         WalRecord::Full {
             round,
             next_null,
             instance,
-        } => {
-            e.put_u8(KIND_FULL);
-            e.put_u64(*round);
-            e.put_u64(*next_null);
-            e.put_instance(instance);
+        } => encode_full(*round, *next_null, instance),
+    }
+}
+
+/// [`encode_record`] of a [`WalRecord::Delta`], from borrowed batches.
+pub(crate) fn encode_delta(round: u64, next_null: u64, batches: &[(Name, Vec<Tuple>)]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u8(KIND_DELTA);
+    e.put_u64(round);
+    e.put_u64(next_null);
+    e.put_u32(batches.len() as u32);
+    for (name, tuples) in batches {
+        e.put_str(name.as_str());
+        e.put_u32(tuples.len() as u32);
+        for t in tuples {
+            e.put_tuple(t);
         }
     }
+    frame_record(e)
+}
+
+/// [`encode_record`] of a [`WalRecord::Full`], from a borrowed instance.
+pub(crate) fn encode_full(round: u64, next_null: u64, instance: &Instance) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u8(KIND_FULL);
+    e.put_u64(round);
+    e.put_u64(next_null);
+    e.put_instance(instance);
+    frame_record(e)
+}
+
+fn frame_record(e: Encoder) -> Vec<u8> {
     let payload = e.into_bytes();
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());

@@ -37,6 +37,20 @@ fn surrogate_pair_escapes_decode_to_one_character() {
     }
 }
 
+/// A number compares by value, whether it was parsed or serialized:
+/// front ends whose bodies are compared as `Value`s must not differ by
+/// integer variant.
+#[test]
+fn parsed_and_serialized_numbers_compare_equal() {
+    assert_eq!(parse("5").unwrap(), serde_json::to_value(&5u64).unwrap());
+    assert_eq!(parse("-1").unwrap(), serde_json::to_value(&-1i64).unwrap());
+    let max = u64::MAX.to_string();
+    assert_eq!(
+        parse(&max).unwrap(),
+        serde_json::to_value(&u64::MAX).unwrap()
+    );
+}
+
 #[test]
 fn raw_control_characters_in_strings_are_rejected() {
     for c in (0u8..0x20).map(char::from) {
