@@ -18,7 +18,7 @@
 
 use dex_analyze::{cost_pass, cost_section};
 use dex_chase::TerminationClass;
-use dex_chase::{exchange_governed, exchange_with, Budget, ChaseOptions, ChaseOutcome, Governor};
+use dex_chase::{chase, exchange, Budget, ChaseOutcome, Governor, RunContext, Start};
 use dex_logic::parse_mapping;
 use dex_relational::{Bound, Instance, SourceStats, Value};
 use proptest::prelude::*;
@@ -190,7 +190,7 @@ proptest! {
 
         // Key egds can clash two constants — then there is no solution
         // and nothing to bound.
-        let r = match exchange_with(&m, &src, ChaseOptions::default()) {
+        let r = match exchange(&m, &src) {
             Ok(r) => r,
             Err(_) => return,
         };
@@ -212,8 +212,7 @@ proptest! {
         let budget = Budget::from_bounds(&section.bounds, 1);
         prop_assert!(!budget.is_unlimited(), "finite bounds must yield caps");
         let gov = Governor::new(budget);
-        let outcome = exchange_governed(&m, &src, ChaseOptions::default(), &gov)
-            .expect(text);
+        let outcome = chase(&m, Start::Fresh(&src), RunContext::new(&gov)).expect(text);
         prop_assert!(
             matches!(outcome, ChaseOutcome::Complete(_)),
             "auto-budget tripped on an admitted mapping:\n{}",

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dex_bench::null_spokes;
-use dex_chase::core_of;
+use dex_chase::{core_of, Governor};
 use std::hint::black_box;
 
 /// Short measurement windows: the suite's job is shape, not
@@ -25,7 +25,7 @@ fn bench_core(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("density_{density}"), n),
                 &inst,
-                |b, inst| b.iter(|| core_of(black_box(inst))),
+                |b, inst| b.iter(|| core_of(black_box(inst), &Governor::unlimited())),
             );
         }
     }

@@ -14,8 +14,8 @@
 //! blow-up makes the bench run minutes per sample.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dex_bench::{emp_mapping, emps};
-use dex_chase::{exchange_governed, exchange_with, Budget, ChaseOptions, Governor, Matcher};
+use dex_bench::{ceiling, chase_fresh, emp_mapping, emps};
+use dex_chase::{Budget, ChaseOptions, Governor, Matcher};
 use dex_logic::{parse_mapping, Mapping};
 use std::hint::black_box;
 
@@ -69,15 +69,22 @@ fn bench_matching(c: &mut Criterion) {
         if n <= 1_000 {
             group.bench_with_input(BenchmarkId::new("scan", n), &src, |b, src| {
                 b.iter(|| {
-                    exchange_with(black_box(&plain), black_box(src), opts(Matcher::Scan)).unwrap()
+                    chase_fresh(
+                        black_box(&plain),
+                        black_box(src),
+                        opts(Matcher::Scan),
+                        &ceiling(),
+                    )
+                    .unwrap()
                 })
             });
             group.bench_with_input(BenchmarkId::new("semi_naive_scan", n), &src, |b, src| {
                 b.iter(|| {
-                    exchange_with(
+                    chase_fresh(
                         black_box(&with_target_deps),
                         black_box(src),
                         opts(Matcher::Scan),
+                        &ceiling(),
                     )
                     .unwrap()
                 })
@@ -85,15 +92,22 @@ fn bench_matching(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("indexed", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(black_box(&plain), black_box(src), opts(Matcher::Indexed)).unwrap()
+                chase_fresh(
+                    black_box(&plain),
+                    black_box(src),
+                    opts(Matcher::Indexed),
+                    &ceiling(),
+                )
+                .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("semi_naive", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(
+                chase_fresh(
                     black_box(&with_target_deps),
                     black_box(src),
                     opts(Matcher::Indexed),
+                    &ceiling(),
                 )
                 .unwrap()
             })
@@ -107,7 +121,7 @@ fn bench_matching(c: &mut Criterion) {
             |b, src| {
                 b.iter(|| {
                     let gov = Governor::new(generous_budget());
-                    exchange_governed(
+                    chase_fresh(
                         black_box(&with_target_deps),
                         black_box(src),
                         opts(Matcher::Indexed),

@@ -7,9 +7,7 @@
 //! durability ordering itself is covered by the crash matrix.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dex_chase::{
-    exchange_checkpointed, exchange_governed, ChaseOptions, Checkpoint, CheckpointSink,
-};
+use dex_chase::{chase, Checkpoint, CheckpointSink, RunContext, Start};
 use dex_logic::parse_mapping;
 use dex_relational::{Governor, Instance, Name, Tuple, Value};
 use dex_store::{snapshot, ChaseState, Store, StoreMode, StoreOptions};
@@ -191,20 +189,25 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
     group.bench_function("exchange_plain", |b| {
         b.iter(|| {
             black_box(
-                exchange_governed(&m, &src, ChaseOptions::default(), &Governor::unlimited())
-                    .unwrap(),
+                chase(
+                    &m,
+                    Start::Fresh(&src),
+                    RunContext::new(&Governor::unlimited()),
+                )
+                .unwrap(),
             )
         })
     });
     group.bench_function("exchange_null_sink", |b| {
         b.iter(|| {
             black_box(
-                exchange_checkpointed(
+                chase(
                     &m,
-                    &src,
-                    ChaseOptions::default(),
-                    &Governor::unlimited(),
-                    &mut NullSink,
+                    Start::Fresh(&src),
+                    RunContext {
+                        sink: Some(&mut NullSink),
+                        ..RunContext::new(&Governor::unlimited())
+                    },
                 )
                 .unwrap(),
             )

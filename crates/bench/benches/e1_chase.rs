@@ -2,10 +2,8 @@
 //! standard vs oblivious chase, 10² … 10⁴ employees.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dex_bench::{emp_mapping, emps};
-use dex_chase::{
-    exchange_governed, exchange_with, Budget, ChaseOptions, ChaseVariant, Governor, Matcher,
-};
+use dex_bench::{ceiling, chase_fresh, emp_mapping, emps};
+use dex_chase::{Budget, ChaseOptions, ChaseVariant, Governor, Matcher};
 use std::hint::black_box;
 
 /// A budget generous enough to never trip on these workloads, so the
@@ -38,7 +36,8 @@ fn bench_chase(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("standard", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(black_box(&mapping), black_box(src), ChaseOptions::default()).unwrap()
+                let opts = ChaseOptions::default();
+                chase_fresh(black_box(&mapping), black_box(src), opts, &ceiling()).unwrap()
             })
         });
         // Same run under an engaged (but never-tripping) governor: the
@@ -46,7 +45,7 @@ fn bench_chase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("standard_governed", n), &src, |b, src| {
             b.iter(|| {
                 let gov = Governor::new(generous_budget());
-                exchange_governed(
+                chase_fresh(
                     black_box(&mapping),
                     black_box(src),
                     ChaseOptions::default(),
@@ -63,7 +62,7 @@ fn bench_chase(c: &mut Criterion) {
             |b, src| {
                 b.iter(|| {
                     let gov = Governor::new(generous_budget().with_max_memory(u64::MAX / 2));
-                    exchange_governed(
+                    chase_fresh(
                         black_box(&mapping),
                         black_box(src),
                         ChaseOptions::default(),
@@ -75,13 +74,14 @@ fn bench_chase(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("oblivious", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(
+                chase_fresh(
                     black_box(&mapping),
                     black_box(src),
                     ChaseOptions {
                         variant: ChaseVariant::Oblivious,
                         ..Default::default()
                     },
+                    &ceiling(),
                 )
                 .unwrap()
             })
@@ -91,13 +91,14 @@ fn bench_chase(c: &mut Criterion) {
         // suite's runtime at 10⁴ already).
         group.bench_with_input(BenchmarkId::new("standard_scan", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(
+                chase_fresh(
                     black_box(&mapping),
                     black_box(src),
                     ChaseOptions {
                         matcher: Matcher::Scan,
                         ..Default::default()
                     },
+                    &ceiling(),
                 )
                 .unwrap()
             })

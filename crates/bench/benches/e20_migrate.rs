@@ -16,7 +16,7 @@
 //! smoke sweep to 10⁶ tuples.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
-use dex_chase::{exchange_checkpointed, exchange_governed, ChaseOptions};
+use dex_chase::{chase, ChaseOptions, RunContext, Start};
 use dex_evolution::{compile_migration, diff, prefix_instance, render_mapping_dex, Catalog};
 use dex_logic::{parse_mapping, Mapping};
 use dex_relational::{Governor, Instance, Schema, Tuple, Value};
@@ -69,15 +69,12 @@ fn build_store(dir: &Path, n: usize) {
     let (m, src) = source(n);
     let _ = std::fs::remove_dir_all(dir);
     let mut store = Store::create(dir, StoreMode::Chase, OLD_MAPPING, &src, opts()).unwrap();
-    let mut sink = StoreSink::new(&mut store);
-    exchange_checkpointed(
-        &m,
-        &src,
-        ChaseOptions::default(),
-        &Governor::unlimited(),
-        &mut sink,
-    )
-    .unwrap();
+    let gov = Governor::unlimited();
+    let ctx = RunContext {
+        sink: Some(&mut StoreSink::new(&mut store)),
+        ..RunContext::new(&gov)
+    };
+    chase(&m, Start::Fresh(&src), ctx).unwrap();
 }
 
 fn copy_dir(from: &Path, to: &Path) {
@@ -135,15 +132,12 @@ fn re_exchange(dir: &Path, n: usize) -> usize {
     let (_, src) = source(n);
     let _ = std::fs::remove_dir_all(dir);
     let mut store = Store::create(dir, StoreMode::Chase, NEW_MAPPING, &src, opts()).unwrap();
-    let mut sink = StoreSink::new(&mut store);
-    let outcome = exchange_checkpointed(
-        &m,
-        &src,
-        ChaseOptions::default(),
-        &Governor::unlimited(),
-        &mut sink,
-    )
-    .unwrap();
+    let gov = Governor::unlimited();
+    let ctx = RunContext {
+        sink: Some(&mut StoreSink::new(&mut store)),
+        ..RunContext::new(&gov)
+    };
+    let outcome = chase(&m, Start::Fresh(&src), ctx).unwrap();
     black_box(outcome);
     n
 }
@@ -178,11 +172,10 @@ fn bench_migrate(c: &mut Criterion) {
         group.bench_function("chase_only", |b| {
             b.iter(|| {
                 black_box(
-                    exchange_governed(
+                    chase(
                         &mapping,
-                        &prefixed,
-                        ChaseOptions::default(),
-                        &Governor::unlimited(),
+                        Start::Fresh(&prefixed),
+                        RunContext::new(&Governor::unlimited()),
                     )
                     .unwrap(),
                 )
@@ -229,13 +222,8 @@ fn smoke(path: &str) {
 
         let (_, prefixed, mapping) = plan_migration(&template);
         let t = Instant::now();
-        let res = exchange_governed(
-            &mapping,
-            &prefixed,
-            ChaseOptions::default(),
-            &Governor::unlimited(),
-        )
-        .unwrap();
+        let gov = Governor::unlimited();
+        let res = chase(&mapping, Start::Fresh(&prefixed), RunContext::new(&gov)).unwrap();
         black_box(res);
         let chase_ms = t.elapsed().as_secs_f64() * 1e3;
 

@@ -2,8 +2,8 @@
 //! compilation cost and chase cost vs instance size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dex_bench::{takes, university_mapping};
-use dex_chase::{exchange, exchange_with, ChaseOptions, Matcher};
+use dex_bench::{ceiling, chase_fresh, takes, university_mapping};
+use dex_chase::{exchange, ChaseOptions, Matcher};
 use dex_logic::{CorrespondenceGroup, CorrespondenceSet};
 use dex_relational::{RelSchema, Schema};
 use std::hint::black_box;
@@ -62,13 +62,14 @@ fn bench_university_chase(c: &mut Criterion) {
         // speedup comparison; quadratic, so capped at 10⁴.
         group.bench_with_input(BenchmarkId::new("scan", n), &src, |b, src| {
             b.iter(|| {
-                exchange_with(
+                chase_fresh(
                     black_box(&mapping),
                     black_box(src),
                     ChaseOptions {
                         matcher: Matcher::Scan,
                         ..Default::default()
                     },
+                    &ceiling(),
                 )
                 .unwrap()
             })

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dex_bench::{chain_mappings, emps, example2_mappings};
-use dex_chase::{exchange, so_exchange};
+use dex_chase::{exchange, so_exchange, Governor};
 use dex_ops::compose;
 use std::hint::black_box;
 
@@ -57,7 +57,10 @@ fn bench_one_step_vs_two_step(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("one_step_sochase", n), &src, |b, src| {
-            b.iter(|| so_exchange(black_box(&comp.sotgd), m23.target(), black_box(src)).unwrap())
+            b.iter(|| {
+                let gov = Governor::unlimited();
+                so_exchange(black_box(&comp.sotgd), m23.target(), black_box(src), &gov).unwrap()
+            })
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! the bounded recovery verification cost vs instance size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dex_bench::{parents, parents_mapping};
+use dex_bench::{ceiling, parents, parents_mapping};
 use dex_ops::{is_recovery_witness, maximum_recovery, not_invertible_witness};
 use dex_relational::{tuple, Instance};
 use std::hint::black_box;
@@ -33,7 +33,8 @@ fn bench_recovery_verification(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &sample, |b, sample| {
             b.iter(|| {
-                is_recovery_witness(black_box(&m), black_box(&rec), std::slice::from_ref(sample))
+                let samples = std::slice::from_ref(sample);
+                is_recovery_witness(black_box(&m), black_box(&rec), samples, &ceiling())
             })
         });
     }
@@ -53,7 +54,7 @@ fn bench_invertibility_witness(c: &mut Criterion) {
     )
     .unwrap();
     c.bench_function("e4_inversion/not_invertible_witness", |b| {
-        b.iter(|| not_invertible_witness(black_box(&m), black_box(&i1), black_box(&i2)))
+        b.iter(|| not_invertible_witness(black_box(&m), black_box(&i1), black_box(&i2), &ceiling()))
     });
 }
 

@@ -3,6 +3,9 @@
 //! One bench target per experiment of DESIGN.md §4. All generators are
 //! deterministic (seeded `StdRng`), so bench runs are reproducible.
 
+use dex_chase::{
+    Budget, ChaseError, ChaseOptions, ChaseOutcome, Governor, RunContext, Start, DEFAULT_MAX_ROUNDS,
+};
 use dex_logic::{parse_mapping, Mapping};
 use dex_relational::{tuple, Instance, Tuple, Value};
 use rand::rngs::StdRng;
@@ -10,6 +13,29 @@ use rand::{Rng, SeedableRng};
 
 /// Fixed seed for every generator.
 pub const SEED: u64 = 0x0DEC_0DE5;
+
+/// The governor an unbudgeted [`dex_chase::exchange`] runs under: no
+/// cap but the default round ceiling.
+pub fn ceiling() -> Governor {
+    Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS))
+}
+
+/// A fresh chase of `src` with `opts` under `gov`.
+pub fn chase_fresh(
+    m: &Mapping,
+    src: &Instance,
+    opts: ChaseOptions,
+    gov: &Governor,
+) -> Result<ChaseOutcome, ChaseError> {
+    dex_chase::chase(
+        m,
+        Start::Fresh(src),
+        RunContext {
+            opts,
+            ..RunContext::new(gov)
+        },
+    )
+}
 
 /// The Example 1 mapping: `Emp(x) → ∃y Manager(x, y)`.
 pub fn emp_mapping() -> Mapping {

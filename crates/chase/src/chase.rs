@@ -2,8 +2,8 @@
 
 use crate::error::ChaseError;
 use dex_logic::eval::{
-    extend_matches, extend_matches_unordered, for_each_match_mode, has_match_mode,
-    match_conjunction_mode, unify_with_tuple, MatchMode, Valuation,
+    extend_matches_unordered, for_each_match_mode, has_match_mode, match_conjunction_mode,
+    unify_with_tuple, MatchMode, Valuation,
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
@@ -52,8 +52,8 @@ impl Matcher {
 }
 
 /// The committed-round ceiling for runs nobody budgeted: the
-/// unbudgeted conveniences [`exchange`] and [`exchange_with`] apply it,
-/// and so does any front end whose effective [`Budget`] caps nothing.
+/// unbudgeted convenience [`exchange`] applies it, and so does any
+/// front end whose effective [`Budget`] caps nothing.
 /// Without it a chase of a divergent mapping never returns.
 pub const DEFAULT_MAX_ROUNDS: u64 = 10_000;
 
@@ -243,17 +243,17 @@ pub struct Checkpoint<'a> {
     pub complete: bool,
 }
 
-/// Receives every committed chase boundary from
-/// [`exchange_checkpointed`] / [`resume_exchange`]. An error return
-/// aborts the chase with [`ChaseError::Checkpoint`]: a run that cannot
-/// persist its progress must not pretend it did.
+/// Receives every committed chase boundary from a [`chase`] run whose
+/// [`RunContext`] carries it. An error return aborts the chase with
+/// [`ChaseError::Checkpoint`]: a run that cannot persist its progress
+/// must not pretend it did.
 pub trait CheckpointSink {
     /// Called once per committed boundary, in round order.
     fn on_checkpoint(&mut self, cp: Checkpoint<'_>) -> Result<(), String>;
 }
 
-/// A chase boundary loaded back from durable storage, from which
-/// [`resume_exchange`] continues phase 2.
+/// A chase boundary loaded back from durable storage, from which a
+/// [`chase`] started at [`Start::Resume`] continues phase 2.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumeState {
     /// The instance at the checkpointed boundary.
@@ -264,9 +264,59 @@ pub struct ResumeState {
     pub rounds: u64,
 }
 
+/// Where a [`chase`] begins.
+#[derive(Debug)]
+pub enum Start<'a> {
+    /// A fresh source-to-target exchange of this source instance.
+    Fresh(&'a Instance),
+    /// The middle of phase 2, at a boundary previously captured through
+    /// a [`CheckpointSink`] (possibly in another process).
+    ///
+    /// The resumed run needs no source instance: phase 1 is already
+    /// folded into the state's target, and target tgds/egds mention
+    /// only target relations. Its first round does a full re-match (the
+    /// semi-naive delta died with the original process), after which
+    /// the indexed-equals-scan theorem guarantees the continuation
+    /// fires the same obligations in the same order as the
+    /// uninterrupted run — so the final instance is literally
+    /// identical, nulls included.
+    ///
+    /// The state's rounds are preloaded into the governor: round caps
+    /// bound *total* rounds across the original and resumed runs.
+    /// Stats and the exhaustion report likewise count total rounds,
+    /// but firings/index counters cover only the resumed process.
+    Resume(ResumeState),
+}
+
+/// What a [`chase`] runs under.
+pub struct RunContext<'a> {
+    /// The budget and cancellation token; its budget is the only round
+    /// cap.
+    pub gov: &'a Governor,
+    /// Source-to-target variant and matcher.
+    pub opts: ChaseOptions,
+    /// Receives every committed boundary (phase-1 output, then each
+    /// egd-enforced target round, then the fixpoint), so the run's
+    /// progress can be persisted and later resumed. The result does
+    /// not depend on it: same tuples, same null order, same stats.
+    pub sink: Option<&'a mut dyn CheckpointSink>,
+}
+
+impl<'a> RunContext<'a> {
+    /// Default options, no sink.
+    pub fn new(gov: &'a Governor) -> Self {
+        RunContext {
+            gov,
+            opts: ChaseOptions::default(),
+            sink: None,
+        }
+    }
+}
+
 /// Materialize a universal solution for `src` under `mapping` with
-/// default options. This is the paper's “how to materialize the best
-/// solution for I under M”.
+/// default options, stopping after [`DEFAULT_MAX_ROUNDS`] committed
+/// target rounds ([`ChaseError::Exhausted`] past that). This is the
+/// paper's “how to materialize the best solution for I under M”.
 ///
 /// ```
 /// use dex_chase::exchange;
@@ -287,12 +337,50 @@ pub struct ResumeState {
 /// assert!(m.is_solution(&src, &result.target));
 /// ```
 pub fn exchange(mapping: &Mapping, src: &Instance) -> Result<ExchangeResult, ChaseError> {
-    exchange_with(mapping, src, ChaseOptions::default())
+    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+    chase(mapping, Start::Fresh(src), RunContext::new(&gov))?.into_result()
 }
 
-/// Materialize with explicit options, stopping after
-/// [`DEFAULT_MAX_ROUNDS`] committed target rounds
-/// ([`ChaseError::Exhausted`] past that).
+/// Kept only because the benchmark replica `perfbench/trace` calls it
+/// by name; the next benchmark change deletes it (ROADMAP item 7).
+/// Call [`chase`] instead.
+#[doc(hidden)]
+pub fn exchange_checkpointed(
+    mapping: &Mapping,
+    src: &Instance,
+    opts: ChaseOptions,
+    gov: &Governor,
+    sink: &mut dyn CheckpointSink,
+) -> Result<ChaseOutcome, ChaseError> {
+    let ctx = RunContext {
+        gov,
+        opts,
+        sink: Some(sink),
+    };
+    chase(mapping, Start::Fresh(src), ctx)
+}
+
+/// Kept only because the benchmark replica `perfbench/trace` calls it
+/// by name; the next benchmark change deletes it (ROADMAP item 7).
+/// Call [`chase`] instead.
+#[doc(hidden)]
+pub fn resume_exchange(
+    mapping: &Mapping,
+    state: ResumeState,
+    opts: ChaseOptions,
+    gov: &Governor,
+    sink: Option<&mut dyn CheckpointSink>,
+) -> Result<ChaseOutcome, ChaseError> {
+    let sink = sink.map(|s| s as &mut dyn CheckpointSink);
+    chase(
+        mapping,
+        Start::Resume(state),
+        RunContext { gov, opts, sink },
+    )
+}
+
+/// The classical chase: materialize a universal solution for `mapping`
+/// from `start`, under `ctx`'s governor, options and sink.
 ///
 /// Both matchers produce the identical result. The target chase runs
 /// in *rounds*: every round matches all target tgds against the
@@ -304,87 +392,22 @@ pub fn exchange(mapping: &Mapping, src: &Instance) -> Result<ExchangeResult, Cha
 /// or satisfied in an earlier round, so re-deriving it is pure waste —
 /// unless an egd substitution rewrote the instance, in which case the
 /// next round falls back to a full re-match.
-pub fn exchange_with(
-    mapping: &Mapping,
-    src: &Instance,
-    opts: ChaseOptions,
-) -> Result<ExchangeResult, ChaseError> {
-    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
-    exchange_governed(mapping, src, opts, &gov)?.into_result()
-}
-
-/// Materialize under a resource budget and/or a cancellation token.
 ///
-/// Identical to [`exchange_with`] on the untripped path (same tuples,
-/// same null order, same stats), but checks the governor at every step
-/// boundary: between phase-1 firings, between phase-2 match batches and
-/// firings, and at committed round boundaries. On a trip it returns
+/// The governor is checked at every step boundary: between phase-1
+/// firings, between phase-2 match batches and firings, and at committed
+/// round boundaries. On a trip the run returns
 /// [`ChaseOutcome::Exhausted`] carrying a valid chase-prefix instance
 /// (see [`Exhausted`] for the atomicity argument) instead of an error.
-/// The governor's budget is the only round cap.
-pub fn exchange_governed(
-    mapping: &Mapping,
-    src: &Instance,
-    opts: ChaseOptions,
-    gov: &Governor,
-) -> Result<ChaseOutcome, ChaseError> {
-    run_exchange(mapping, Start::Fresh(src), opts, gov, None)
-}
-
-/// Like [`exchange_governed`], but reports every committed chase
-/// boundary (phase-1 output, then each egd-enforced target round, then
-/// the fixpoint) to `sink`, so the run's progress can be persisted and
-/// later continued with [`resume_exchange`]. With a sink that does
-/// nothing the result is identical to [`exchange_governed`] — same
-/// tuples, same null order, same stats.
-pub fn exchange_checkpointed(
-    mapping: &Mapping,
-    src: &Instance,
-    opts: ChaseOptions,
-    gov: &Governor,
-    sink: &mut dyn CheckpointSink,
-) -> Result<ChaseOutcome, ChaseError> {
-    run_exchange(mapping, Start::Fresh(src), opts, gov, Some(sink))
-}
-
-/// Continue phase 2 of a chase from a committed boundary previously
-/// captured through a [`CheckpointSink`] (possibly in another process).
-///
-/// The resumed run needs no source instance: phase 1 is already folded
-/// into `state.target`, and target tgds/egds mention only target
-/// relations. Its first round does a full re-match (the semi-naive
-/// delta died with the original process), after which the
-/// indexed-equals-scan theorem guarantees the continuation fires the
-/// same obligations in the same order as the uninterrupted run — so
-/// the final instance is literally identical, nulls included.
-///
-/// `state.rounds` is preloaded into `gov`: round caps bound *total*
-/// rounds across the original and resumed runs. Stats and the exhaustion report likewise count total
-/// rounds, but firings/index counters cover only the resumed process.
-pub fn resume_exchange(
-    mapping: &Mapping,
-    state: ResumeState,
-    opts: ChaseOptions,
-    gov: &Governor,
-    sink: Option<&mut dyn CheckpointSink>,
-) -> Result<ChaseOutcome, ChaseError> {
-    run_exchange(mapping, Start::Resume(state), opts, gov, sink)
-}
-
-/// Where [`run_exchange`] begins: a fresh source-to-target exchange, or
-/// the middle of phase 2 restored from a checkpoint.
-enum Start<'a> {
-    Fresh(&'a Instance),
-    Resume(ResumeState),
-}
-
-fn run_exchange(
+pub fn chase(
     mapping: &Mapping,
     start: Start<'_>,
-    opts: ChaseOptions,
-    gov: &Governor,
-    mut sink: Option<&mut dyn CheckpointSink>,
+    ctx: RunContext<'_>,
 ) -> Result<ChaseOutcome, ChaseError> {
+    let RunContext {
+        gov,
+        opts,
+        mut sink,
+    } = ctx;
     // Fresh runs start phase 1 below; resumed runs restore the target,
     // the null generator, and the round count, and force their first
     // round to re-match in full (the delta log is process-local).
@@ -687,15 +710,7 @@ fn egd_violation(
     Ok(None)
 }
 
-/// Chase a set of egds over an instance to fixpoint (merging nulls;
-/// failing when two distinct constants are forced equal). This is the
-/// standalone entry point used by the lens engine to enforce target
-/// keys after a forward pass.
-pub fn enforce_egds(inst: &Instance, egds: &[dex_logic::Egd]) -> Result<Instance, ChaseError> {
-    Ok(enforce_egds_with(inst, egds)?.0)
-}
-
-/// Counters from one [`enforce_egds_with`] run.
+/// Counters from one [`enforce_egds`] run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EgdStats {
     /// Fixpoint rounds taken (including the final no-op round).
@@ -706,20 +721,6 @@ pub struct EgdStats {
     pub index_builds: u64,
     /// Index probes served while matching egd premises.
     pub index_probes: u64,
-}
-
-/// Like [`enforce_egds`], but also reports fixpoint rounds, merges, and
-/// index build/probe counters — the observability hook behind
-/// `Engine::forward_with_stats`.
-pub fn enforce_egds_with(
-    inst: &Instance,
-    egds: &[dex_logic::Egd],
-) -> Result<(Instance, EgdStats), ChaseError> {
-    match enforce_egds_governed(inst, egds, &Governor::unlimited())? {
-        EgdOutcome::Complete { instance, stats } => Ok((instance, stats)),
-        // Unreachable with an unlimited governor; collapse defensively.
-        EgdOutcome::Exhausted(e) => Err(ChaseError::Exhausted(Box::new(e))),
-    }
 }
 
 /// The outcome of a governed egd-enforcement run.
@@ -751,15 +752,19 @@ impl EgdOutcome {
     }
 }
 
-/// Enforce egds under a resource budget and/or cancellation token.
+/// Chase a set of egds over an instance to fixpoint (merging nulls;
+/// failing when two distinct constants are forced equal) under a
+/// resource budget and/or cancellation token. This is the standalone
+/// entry point used by the lens engine to enforce target keys after a
+/// forward pass; the stats report fixpoint rounds, merges, and index
+/// build/probe counters.
 ///
-/// Identical to [`enforce_egds_with`] on the untripped path. The
-/// governor is checked between egd steps (each step chases one egd to
-/// its local fixpoint, which always terminates: every merge eliminates
-/// a labeled null), so an exhausted run hands back an instance that is
-/// a valid prefix of the egd chase — some egds enforced, none applied
-/// halfway.
-pub fn enforce_egds_governed(
+/// The governor is checked between egd steps (each step chases one egd
+/// to its local fixpoint, which always terminates: every merge
+/// eliminates a labeled null), so an exhausted run hands back an
+/// instance that is a valid prefix of the egd chase — some egds
+/// enforced, none applied halfway.
+pub fn enforce_egds(
     inst: &Instance,
     egds: &[dex_logic::Egd],
     gov: &Governor,
@@ -907,36 +912,11 @@ fn fire(
     Ok(())
 }
 
-/// Check that `solution` is universal for `src` under `mapping` by
-/// verifying (i) it is a solution, and (ii) it maps homomorphically into
-/// `other` for each provided solution. (Used by tests; universality
-/// against *all* solutions is a theorem about the chase, checked here
-/// against sampled ones.)
-pub fn maps_into_all<'a>(
-    solution: &Instance,
-    others: impl IntoIterator<Item = &'a Instance>,
-) -> bool {
-    others
-        .into_iter()
-        .all(|o| dex_relational::is_homomorphic_to(solution, o))
-}
-
-/// The set of valuations of `atoms` over `inst` extended by `partial` —
-/// re-exported convenience for downstream crates building on chase
-/// internals.
-pub fn matches_with(
-    atoms: &[dex_logic::Atom],
-    inst: &Instance,
-    partial: &Valuation,
-) -> Vec<Valuation> {
-    extend_matches(atoms, inst, partial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_logic::{parse_mapping, Atom};
-    use dex_relational::{tuple, RelSchema, Schema, Tuple};
+    use dex_logic::parse_mapping;
+    use dex_relational::{tuple, Tuple};
 
     fn example1_mapping() -> Mapping {
         parse_mapping(
@@ -955,6 +935,41 @@ mod tests {
             vec![("Emp", names.iter().map(|n| tuple![*n]).collect())],
         )
         .unwrap()
+    }
+
+    /// A fresh chase with `opts` under the default round ceiling.
+    fn exchange_opts(
+        m: &Mapping,
+        src: &Instance,
+        opts: ChaseOptions,
+    ) -> Result<ExchangeResult, ChaseError> {
+        let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+        chase(
+            m,
+            Start::Fresh(src),
+            RunContext {
+                opts,
+                ..RunContext::new(&gov)
+            },
+        )?
+        .into_result()
+    }
+
+    /// A fresh chase with `opts` under `gov`.
+    fn chase_fresh(
+        m: &Mapping,
+        src: &Instance,
+        opts: ChaseOptions,
+        gov: &Governor,
+    ) -> Result<ChaseOutcome, ChaseError> {
+        chase(
+            m,
+            Start::Fresh(src),
+            RunContext {
+                opts,
+                ..RunContext::new(gov)
+            },
+        )
     }
 
     fn scan_opts() -> ChaseOptions {
@@ -998,7 +1013,9 @@ mod tests {
             )],
         )
         .unwrap();
-        assert!(maps_into_all(&res.target, [&j1, &j2]));
+        assert!([&j1, &j2]
+            .into_iter()
+            .all(|o| dex_relational::is_homomorphic_to(&res.target, o)));
     }
 
     #[test]
@@ -1018,9 +1035,9 @@ mod tests {
         let mut src = Instance::empty(m.source().clone());
         src.insert("E1", tuple!["a"]).unwrap();
         src.insert("E2", tuple!["a"]).unwrap();
-        let std = exchange_with(&m, &src, ChaseOptions::default()).unwrap();
+        let std = exchange_opts(&m, &src, ChaseOptions::default()).unwrap();
         assert_eq!(std.target.fact_count(), 1, "second firing suppressed");
-        let obl = exchange_with(
+        let obl = exchange_opts(
             &m,
             &src,
             ChaseOptions {
@@ -1107,7 +1124,7 @@ mod tests {
         src.insert("E1", tuple!["Alice"]).unwrap();
         src.insert("E2", tuple!["Alice"]).unwrap();
         // Oblivious chase to force two distinct nulls first.
-        let res = exchange_with(
+        let res = exchange_opts(
             &m,
             &src,
             ChaseOptions {
@@ -1140,7 +1157,7 @@ mod tests {
         let mut src = Instance::empty(m.source().clone());
         src.insert("E", tuple!["Alice"]).unwrap();
         src.insert("Boss", tuple!["Alice", "Ted"]).unwrap();
-        let res = exchange_with(
+        let res = exchange_opts(
             &m,
             &src,
             ChaseOptions {
@@ -1196,7 +1213,7 @@ mod tests {
         let src = Instance::with_facts(m.source().clone(), vec![("R", vec![tuple!["v"]])]).unwrap();
         for matcher in [Matcher::Indexed, Matcher::Scan] {
             let gov = Governor::new(Budget::unlimited().with_max_rounds(25));
-            let err = exchange_governed(
+            let err = chase_fresh(
                 &m,
                 &src,
                 ChaseOptions {
@@ -1289,7 +1306,7 @@ mod tests {
             let m = parse_mapping(text).unwrap();
             for variant in [ChaseVariant::Standard, ChaseVariant::Oblivious] {
                 let src = Instance::with_facts(m.source().clone(), facts.clone()).unwrap();
-                let indexed = exchange_with(
+                let indexed = exchange_opts(
                     &m,
                     &src,
                     ChaseOptions {
@@ -1298,7 +1315,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-                let scan = exchange_with(
+                let scan = exchange_opts(
                     &m,
                     &src,
                     ChaseOptions {
@@ -1352,7 +1369,7 @@ mod tests {
             "indexed mode checked membership"
         );
         // Scan oracle: same instance, no probes, no membership checks.
-        let scan = exchange_with(&m, &src, scan_opts()).unwrap();
+        let scan = exchange_opts(&m, &src, scan_opts()).unwrap();
         assert_eq!(scan.target, res.target);
         assert_eq!(scan.stats.index_probes, 0);
         assert_eq!(scan.stats.membership_checks, 0);
@@ -1379,15 +1396,6 @@ mod tests {
         let src = Instance::with_facts(m.source().clone(), vec![("R", vec![tuple!["v"]])]).unwrap();
         let res = exchange(&m, &src).unwrap();
         assert!(res.target.contains("S", &tuple!["v", "imported"]));
-    }
-
-    #[test]
-    fn matches_with_reexport() {
-        let _m = example1_mapping();
-        let src = emp_instance(&["Alice"]);
-        let ms = matches_with(&[Atom::vars("Emp", &["x"])], &src, &Valuation::new());
-        assert_eq!(ms.len(), 1);
-        let _ = Schema::with_relations(vec![RelSchema::untyped("X", vec!["a"]).unwrap()]);
     }
 
     // ---- resource governance ----
@@ -1429,7 +1437,7 @@ mod tests {
                 .with_max_nulls(1_000)
                 .with_deadline(std::time::Duration::from_secs(60)),
         );
-        let governed = match exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap() {
+        let governed = match chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap() {
             ChaseOutcome::Complete(r) => r,
             ChaseOutcome::Exhausted(e) => panic!("generous budget tripped: {}", e.report),
         };
@@ -1456,9 +1464,7 @@ mod tests {
         let (m, src) = ping_pong();
         for (budget, want) in budgets {
             let gov = Governor::new(budget);
-            let e = expect_exhausted(
-                exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap(),
-            );
+            let e = expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap());
             assert_eq!(e.report.reason, want);
             assert!(!e.partial.is_empty(), "{want:?}: partial survives");
             // Well-formed: every fact chains off the original source
@@ -1476,16 +1482,14 @@ mod tests {
     fn tripped_partial_replays_as_round_boundary() {
         let (m, src) = ping_pong();
         let gov = Governor::new(Budget::unlimited().with_max_tuples(7));
-        let e =
-            expect_exhausted(exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap());
+        let e = expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap());
         assert_eq!(e.report.reason, TripReason::Tuples);
         let r = e.report.rounds_committed;
         assert!(r >= 1, "budget chosen to survive past round 1");
 
         let replay_gov = Governor::new(Budget::unlimited().with_max_rounds(r - 1));
-        let replay = expect_exhausted(
-            exchange_governed(&m, &src, ChaseOptions::default(), &replay_gov).unwrap(),
-        );
+        let replay =
+            expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &replay_gov).unwrap());
         assert_eq!(replay.report.reason, TripReason::Rounds);
         assert_eq!(replay.report.rounds_committed, r);
         assert_eq!(replay.partial, e.partial, "same committed boundary");
@@ -1499,8 +1503,7 @@ mod tests {
         let src = emp_instance(&["Alice", "Bob", "Carol", "Dave"]);
         let full = exchange(&m, &src).unwrap();
         let gov = Governor::new(Budget::unlimited().with_max_tuples(1));
-        let e =
-            expect_exhausted(exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap());
+        let e = expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap());
         assert_eq!(e.report.reason, TripReason::Tuples);
         assert_eq!(e.report.rounds_committed, 0);
         assert!(e.partial.fact_count() < full.target.fact_count());
@@ -1541,7 +1544,7 @@ mod tests {
             ..Default::default()
         };
         let gov = Governor::new(Budget::unlimited().with_max_rounds(1));
-        match exchange_governed(&m, &src, opts, &gov).unwrap() {
+        match chase_fresh(&m, &src, opts, &gov).unwrap() {
             ChaseOutcome::Exhausted(e) => {
                 for egd in m.target_egds() {
                     assert!(egd.satisfied_by(&e.partial), "partial violates {egd}");
@@ -1561,8 +1564,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::unlimited().with_cancel(token);
-        let e =
-            expect_exhausted(exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap());
+        let e = expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap());
         assert_eq!(e.report.reason, TripReason::Cancelled);
         assert!(e.partial.is_empty(), "cancelled before the first firing");
         assert_eq!(e.report.tuples_derived, 0);
@@ -1578,8 +1580,7 @@ mod tests {
             token.cancel();
         });
         // Without the token this chase never terminates.
-        let e =
-            expect_exhausted(exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap());
+        let e = expect_exhausted(chase_fresh(&m, &src, ChaseOptions::default(), &gov).unwrap());
         canceller.join().expect("canceller thread panicked");
         assert_eq!(e.report.reason, TripReason::Cancelled);
         assert!(!e.partial.is_empty());
@@ -1602,7 +1603,7 @@ mod tests {
         let mut src = Instance::empty(m.source().clone());
         src.insert("E1", tuple!["Alice"]).unwrap();
         src.insert("E2", tuple!["Alice"]).unwrap();
-        let res = exchange_with(
+        let res = exchange_opts(
             &m,
             &src,
             ChaseOptions {
@@ -1614,7 +1615,7 @@ mod tests {
 
         // Re-enforcing on the solved instance completes in one round.
         let gov = Governor::new(Budget::unlimited().with_max_rounds(5));
-        match enforce_egds_governed(&res.target, mapping_egds(&m), &gov).unwrap() {
+        match enforce_egds(&res.target, mapping_egds(&m), &gov).unwrap() {
             EgdOutcome::Complete { instance, .. } => assert_eq!(instance, res.target),
             EgdOutcome::Exhausted(e) => panic!("unexpected trip: {}", e.report),
         }
@@ -1623,7 +1624,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::unlimited().with_cancel(token);
-        match enforce_egds_governed(&res.target, mapping_egds(&m), &gov).unwrap() {
+        match enforce_egds(&res.target, mapping_egds(&m), &gov).unwrap() {
             EgdOutcome::Exhausted(e) => {
                 assert_eq!(e.report.reason, TripReason::Cancelled);
                 assert_eq!(e.partial, res.target, "inputs untouched");
@@ -1748,7 +1749,11 @@ mod tests {
             let plain = exchange(&m, &src).unwrap();
             let mut rec = Recorder::default();
             let gov = Governor::unlimited();
-            let res = exchange_checkpointed(&m, &src, ChaseOptions::default(), &gov, &mut rec)
+            let ctx = RunContext {
+                sink: Some(&mut rec),
+                ..RunContext::new(&gov)
+            };
+            let res = chase(&m, Start::Fresh(&src), ctx)
                 .unwrap()
                 .into_result()
                 .unwrap();
@@ -1775,10 +1780,19 @@ mod tests {
                 };
                 let mut rec = Recorder::default();
                 let gov = Governor::unlimited();
-                let full = exchange_checkpointed(&m, &src, opts, &gov, &mut rec)
-                    .unwrap()
-                    .into_result()
-                    .unwrap();
+                let sink = Some(&mut rec as &mut dyn CheckpointSink);
+                let full = chase(
+                    &m,
+                    Start::Fresh(&src),
+                    RunContext {
+                        gov: &gov,
+                        opts,
+                        sink,
+                    },
+                )
+                .unwrap()
+                .into_result()
+                .unwrap();
                 let merged_rounds = rec.boundaries.iter().filter(|b| !b.as_delta).count();
                 for b in rec.boundaries.iter().filter(|b| !b.complete) {
                     let state = ResumeState {
@@ -1786,7 +1800,12 @@ mod tests {
                         next_null: b.next_null,
                         rounds: b.round,
                     };
-                    let resumed = resume_exchange(&m, state, opts, &Governor::unlimited(), None)
+                    let gov = Governor::unlimited();
+                    let ctx = RunContext {
+                        opts,
+                        ..RunContext::new(&gov)
+                    };
+                    let resumed = chase(&m, Start::Resume(state), ctx)
                         .unwrap()
                         .into_result()
                         .unwrap();
@@ -1816,25 +1835,25 @@ mod tests {
         let cap = 6u64;
         let fresh_gov = Governor::new(Budget::unlimited().with_max_rounds(cap));
         let mut rec = Recorder::default();
-        let fresh = expect_exhausted(
-            exchange_checkpointed(&m, &src, ChaseOptions::default(), &fresh_gov, &mut rec).unwrap(),
-        );
+        let ctx = RunContext {
+            sink: Some(&mut rec),
+            ..RunContext::new(&fresh_gov)
+        };
+        let fresh = expect_exhausted(chase(&m, Start::Fresh(&src), ctx).unwrap());
         assert_eq!(fresh.report.rounds_committed, cap + 1);
 
         let mid = &rec.boundaries[3]; // some boundary strictly inside the run
         assert!(mid.round >= 1 && mid.round < cap);
         let resume_gov = Governor::new(Budget::unlimited().with_max_rounds(cap));
         let resumed = expect_exhausted(
-            resume_exchange(
+            chase(
                 &m,
-                ResumeState {
+                Start::Resume(ResumeState {
                     target: mid.state.clone(),
                     next_null: mid.next_null,
                     rounds: mid.round,
-                },
-                ChaseOptions::default(),
-                &resume_gov,
-                None,
+                }),
+                RunContext::new(&resume_gov),
             )
             .unwrap(),
         );
@@ -1853,14 +1872,12 @@ mod tests {
             }
         }
         let (m, src) = ping_pong();
-        let err = exchange_checkpointed(
-            &m,
-            &src,
-            ChaseOptions::default(),
-            &Governor::unlimited(),
-            &mut Failing,
-        )
-        .unwrap_err();
+        let gov = Governor::unlimited();
+        let ctx = RunContext {
+            sink: Some(&mut Failing),
+            ..RunContext::new(&gov)
+        };
+        let err = chase(&m, Start::Fresh(&src), ctx).unwrap_err();
         match err {
             ChaseError::Checkpoint(msg) => assert!(msg.contains("disk full")),
             other => panic!("expected Checkpoint error, got {other:?}"),

@@ -16,14 +16,9 @@ use dex_relational::homomorphism::Homomorphism;
 use dex_relational::{ExhaustionReport, Governor, Instance, TripReason, Tuple, Value};
 use std::collections::BTreeSet;
 
-/// Compute the core of `inst`.
-pub fn core_of(inst: &Instance) -> Instance {
-    core_of_governed(inst, &Governor::unlimited()).0
-}
-
-/// Core computation under a resource budget. Returns the minimized
-/// instance plus `Some(report)` when a budget or cancellation stopped
-/// minimization early.
+/// Compute the core of `inst` under a resource budget. Returns the
+/// minimized instance plus `Some(report)` when a budget or cancellation
+/// stopped minimization early.
 ///
 /// Every intermediate state is the image of the input under an
 /// endomorphism, so a tripped run still hands back an instance
@@ -31,7 +26,7 @@ pub fn core_of(inst: &Instance) -> Instance {
 /// is merely not yet minimal (an "anytime" result). Checks happen
 /// between endomorphism probes; each accepted fold counts as one
 /// committed round against the budget's `max_rounds`.
-pub fn core_of_governed(inst: &Instance, gov: &Governor) -> (Instance, Option<ExhaustionReport>) {
+pub fn core_of(inst: &Instance, gov: &Governor) -> (Instance, Option<ExhaustionReport>) {
     let mut current = inst.clone();
     loop {
         match find_proper_endomorphism_governed(&current, gov) {
@@ -167,7 +162,7 @@ mod tests {
             vec![("Manager", vec![tuple!["a", "b"], tuple!["b", "c"]])],
         )
         .unwrap();
-        assert_eq!(core_of(&i), i);
+        assert_eq!(core_of(&i, &Governor::unlimited()).0, i);
     }
 
     #[test]
@@ -186,7 +181,7 @@ mod tests {
             Tuple::new(vec![Value::str("Bob"), Value::null(2)]),
         )
         .unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(c.fact_count(), 2);
     }
 
@@ -201,7 +196,7 @@ mod tests {
             Tuple::new(vec![Value::str("Alice"), Value::null(0)]),
         )
         .unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(c.fact_count(), 1);
         assert!(c.contains("Manager", &tuple!["Alice", "Ted"]));
         assert!(homomorphically_equivalent(&c, &i));
@@ -220,7 +215,7 @@ mod tests {
             .unwrap();
         i.insert("Manager", Tuple::new(vec![Value::null(2), Value::null(3)]))
             .unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(c.fact_count(), 2, "one chain folds onto the other");
         assert!(homomorphically_equivalent(&c, &i));
     }
@@ -232,7 +227,7 @@ mod tests {
         i.insert("Manager", Tuple::new(vec![Value::null(0), Value::null(0)]))
             .unwrap();
         i.insert("Manager", tuple!["a", "a"]).unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(c.fact_count(), 1);
     }
 
@@ -243,7 +238,7 @@ mod tests {
         let mut i = Instance::empty(mgr_schema());
         i.insert("Manager", Tuple::new(vec![Value::null(0), Value::null(0)]))
             .unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(c.fact_count(), 1);
         assert!(!c.is_ground());
     }
@@ -259,12 +254,35 @@ mod tests {
             .unwrap();
         }
         i.insert("Manager", tuple!["hub", "spoke"]).unwrap();
-        let c = core_of(&i);
+        let c = core_of(&i, &Governor::unlimited()).0;
         assert_eq!(
             c.fact_count(),
             1,
             "all null spokes fold into the ground one"
         );
+        assert!(homomorphically_equivalent(&c, &i));
+    }
+
+    #[test]
+    fn round_cap_stops_folding_with_an_equivalent_instance() {
+        // Three parallel null chains over one constant: two of them are
+        // foldable, one fold per committed round, so a cap of 1 trips on
+        // the second fold.
+        let mut i = Instance::empty(mgr_schema());
+        for k in [0, 2, 4] {
+            i.insert("Manager", Tuple::new(vec![Value::str("a"), Value::null(k)]))
+                .unwrap();
+            i.insert(
+                "Manager",
+                Tuple::new(vec![Value::null(k), Value::null(k + 1)]),
+            )
+            .unwrap();
+        }
+        let gov = Governor::new(dex_relational::Budget::unlimited().with_max_rounds(1));
+        let (c, report) = core_of(&i, &gov);
+        let report = report.expect("the round cap trips");
+        assert_eq!(report.reason, TripReason::Rounds);
+        assert_eq!(report.rounds_committed, 2);
         assert!(homomorphically_equivalent(&c, &i));
     }
 }

@@ -18,12 +18,12 @@ pub enum ChaseError {
         right: String,
     },
     /// A resource budget (rounds, deadline, tuples, nulls, memory) or a
-    /// cancellation stopped the chase before fixpoint. Raised by the
-    /// `Result`-only entry points ([`crate::exchange_with`] and
-    /// friends), which have no room for a partial outcome; the governed
-    /// entry points ([`crate::exchange_governed`]) return the boxed
-    /// [`Exhausted`] value — partial instance plus report — directly,
-    /// so callers can keep the consistent prefix.
+    /// cancellation stopped the chase before fixpoint. Raised by
+    /// [`crate::exchange`] and the outcomes' `into_result`, which have
+    /// no room for a partial outcome; [`crate::chase()`] and the other
+    /// governed entry points return the [`Exhausted`] value — partial
+    /// instance plus report — directly, so callers can keep the
+    /// consistent prefix.
     Exhausted(Box<Exhausted>),
     /// A dependency used a variable in its conclusion (or an egd in its
     /// equalities) that its premise never binds. Caught at parse time

@@ -29,16 +29,17 @@ pub mod sochase;
 pub mod termination;
 
 pub use chase::{
-    enforce_egds, enforce_egds_governed, enforce_egds_with, exchange, exchange_checkpointed,
-    exchange_governed, exchange_with, resume_exchange, ChaseOptions, ChaseOutcome, ChaseStats,
-    ChaseVariant, Checkpoint, CheckpointSink, EgdOutcome, EgdStats, ExchangeResult, Exhausted,
-    Matcher, ResumeState, CHASE_STATS_WIRE_V, DEFAULT_MAX_ROUNDS,
+    chase, enforce_egds, exchange, ChaseOptions, ChaseOutcome, ChaseStats, ChaseVariant,
+    Checkpoint, CheckpointSink, EgdOutcome, EgdStats, ExchangeResult, Exhausted, Matcher,
+    ResumeState, RunContext, Start, CHASE_STATS_WIRE_V, DEFAULT_MAX_ROUNDS,
 };
-pub use core_min::{core_of, core_of_governed};
+#[doc(hidden)]
+pub use chase::{exchange_checkpointed, resume_exchange};
+pub use core_min::core_of;
 pub use critical::{critical_instance, CriticalInstance};
 pub use error::ChaseError;
-pub use query::{certain_answers, certain_answers_governed, ConjunctiveQuery, UnionQuery};
-pub use sochase::{so_exchange, so_exchange_governed, SoOutcome};
+pub use query::{certain_answers, ConjunctiveQuery, UnionQuery};
+pub use sochase::{so_exchange, SoOutcome};
 // Governance vocabulary, re-exported so downstream crates can build
 // budgets without depending on dex-relational directly.
 pub use dex_relational::{Budget, CancelToken, ExhaustionReport, Governor, TripReason};

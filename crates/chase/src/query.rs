@@ -106,13 +106,6 @@ impl UnionQuery {
     }
 }
 
-/// Certain answers by naive evaluation over a universal solution: keep
-/// only the all-constant answer tuples. The streaming evaluation of
-/// [`certain_answers_governed`] under an unlimited governor.
-pub fn certain_answers(q: &ConjunctiveQuery, universal_solution: &Instance) -> BTreeSet<Tuple> {
-    certain_answers_governed(q, universal_solution, &Governor::unlimited()).0
-}
-
 /// Certain answers of a union of conjunctive queries.
 pub fn certain_answers_union(q: &UnionQuery, universal_solution: &Instance) -> BTreeSet<Tuple> {
     q.eval(universal_solution)
@@ -121,15 +114,16 @@ pub fn certain_answers_union(q: &UnionQuery, universal_solution: &Instance) -> B
         .collect()
 }
 
-/// Certain answers under a resource budget: naive evaluation that
-/// checks the governor between body matches (each enumerated match
-/// also counts one tuple of consumption). Returns the certain answers
-/// accumulated so far, plus `Some(report)` when a budget or
-/// cancellation stopped the enumeration early — in which case the set
-/// is a sound *subset* of the certain answers (every returned tuple is
-/// certain; some may be missing). `None` means the evaluation ran to
-/// completion and the set is exact.
-pub fn certain_answers_governed(
+/// Certain answers by naive evaluation over a universal solution: keep
+/// only the all-constant answer tuples. The governor is checked between
+/// body matches (each enumerated match also counts one tuple of
+/// consumption). Returns the certain answers accumulated so far, plus
+/// `Some(report)` when a budget or cancellation stopped the
+/// enumeration early — in which case the set is a sound *subset* of the
+/// certain answers (every returned tuple is certain; some may be
+/// missing). `None` means the evaluation ran to completion and the set
+/// is exact.
+pub fn certain_answers(
     q: &ConjunctiveQuery,
     universal_solution: &Instance,
     gov: &Governor,
@@ -197,11 +191,13 @@ mod tests {
         let q_pairs =
             ConjunctiveQuery::new(vec!["e", "m"], vec![Atom::vars("Manager", &["e", "m"])])
                 .unwrap();
-        assert!(certain_answers(&q_pairs, &j).is_empty());
+        assert!(certain_answers(&q_pairs, &j, &Governor::unlimited())
+            .0
+            .is_empty());
 
         let q_emps =
             ConjunctiveQuery::new(vec!["e"], vec![Atom::vars("Manager", &["e", "m"])]).unwrap();
-        let ans = certain_answers(&q_emps, &j);
+        let ans = certain_answers(&q_emps, &j, &Governor::unlimited()).0;
         assert_eq!(ans.len(), 2);
         assert!(ans.contains(&tuple!["Alice"]));
         assert!(ans.contains(&tuple!["Bob"]));
@@ -225,7 +221,7 @@ mod tests {
         let j = exchange(&m, &src).unwrap().target;
         let q = ConjunctiveQuery::new(vec!["m"], vec![Atom::vars("Manager", &["e", "m"])]).unwrap();
         assert_eq!(q.eval(&j).len(), 1, "naive eval sees the null");
-        assert!(certain_answers(&q, &j).is_empty());
+        assert!(certain_answers(&q, &j, &Governor::unlimited()).0.is_empty());
     }
 
     #[test]
@@ -255,7 +251,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let ans = certain_answers(&q, &j);
+        let ans = certain_answers(&q, &j, &Governor::unlimited()).0;
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&tuple!["Alice", "DB"]));
     }

@@ -13,23 +13,6 @@ use dex_logic::eval::match_conjunction;
 use dex_logic::SoTgd;
 use dex_relational::{Governor, Instance, Schema};
 
-/// Materialize the canonical target instance of `src` under an SO-tgd.
-///
-/// For SO-tgds obtained by composing st-tgd mappings this is the
-/// canonical universal solution of the composition: existential
-/// functions become Skolem-term values over the matched source values.
-pub fn so_exchange(
-    sotgd: &SoTgd,
-    target_schema: &Schema,
-    src: &Instance,
-) -> Result<Instance, ChaseError> {
-    match so_exchange_governed(sotgd, target_schema, src, &Governor::unlimited())? {
-        SoOutcome::Complete(inst) => Ok(inst),
-        // Unreachable with an unlimited governor; collapse defensively.
-        SoOutcome::Exhausted(e) => Err(ChaseError::Exhausted(Box::new(e))),
-    }
-}
-
 /// The outcome of a governed SO-tgd chase.
 #[derive(Clone, Debug)]
 #[allow(clippy::large_enum_variant)]
@@ -41,11 +24,28 @@ pub enum SoOutcome {
     Exhausted(Exhausted),
 }
 
-/// Like [`so_exchange`], but checks a [`Governor`] between clause-match
-/// firings: a trip hands back the facts inserted so far (each firing
-/// inserts all rhs atoms of one matched clause before the next check,
-/// so the partial is a prefix of whole firings).
-pub fn so_exchange_governed(
+impl SoOutcome {
+    /// Collapse into a plain `Result`, turning exhaustion into
+    /// [`ChaseError::Exhausted`].
+    pub fn into_result(self) -> Result<Instance, ChaseError> {
+        match self {
+            SoOutcome::Complete(inst) => Ok(inst),
+            SoOutcome::Exhausted(e) => Err(ChaseError::Exhausted(Box::new(e))),
+        }
+    }
+}
+
+/// Materialize the canonical target instance of `src` under an SO-tgd.
+///
+/// For SO-tgds obtained by composing st-tgd mappings this is the
+/// canonical universal solution of the composition: existential
+/// functions become Skolem-term values over the matched source values.
+///
+/// The governor is checked between clause-match firings: a trip hands
+/// back the facts inserted so far (each firing inserts all rhs atoms of
+/// one matched clause before the next check, so the partial is a prefix
+/// of whole firings).
+pub fn so_exchange(
     sotgd: &SoTgd,
     target_schema: &Schema,
     src: &Instance,
@@ -137,7 +137,10 @@ mod tests {
             vec![("Emp", vec![tuple!["Alice"], tuple!["Bob"]])],
         )
         .unwrap();
-        let j = so_exchange(&so, &boss_schema(), &src).unwrap();
+        let j = so_exchange(&so, &boss_schema(), &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(j.relation("Boss").unwrap().len(), 2);
         assert!(j.relation("SelfMngr").unwrap().is_empty());
         assert!(j.contains(
@@ -160,7 +163,10 @@ mod tests {
                 .unwrap();
         let src = Instance::with_facts(mgr_schema, vec![("Manager", vec![tuple!["Alice", "Ted"]])])
             .unwrap();
-        let j = so_exchange(&so, &boss_schema(), &src).unwrap();
+        let j = so_exchange(&so, &boss_schema(), &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert!(j.contains("Boss", &tuple!["Alice", "Ted"]));
         assert_eq!(j.fact_count(), 1);
         assert!(tgd.satisfied_by(&src, &j));
@@ -174,7 +180,10 @@ mod tests {
             Schema::with_relations(vec![RelSchema::untyped("Manager2", vec!["e", "m"]).unwrap()])
                 .unwrap();
         let src = Instance::with_facts(emp_schema(), vec![("Emp", vec![tuple!["Alice"]])]).unwrap();
-        let j = so_exchange(&so, &t_schema, &src).unwrap();
+        let j = so_exchange(&so, &t_schema, &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         let t = j.relation("Manager2").unwrap().iter().next().unwrap();
         assert_eq!(t[0], Value::str("Alice"));
         assert!(t[1].is_skolem());
@@ -200,8 +209,50 @@ mod tests {
             vec![("P", vec![tuple!["a", "a"], tuple!["a", "b"]])],
         )
         .unwrap();
-        let j = so_exchange(&so, &q_schema, &src).unwrap();
+        let j = so_exchange(&so, &q_schema, &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert_eq!(j.fact_count(), 1);
         assert!(j.contains("Q", &tuple!["a"]));
+    }
+
+    #[test]
+    fn tuple_cap_stops_between_whole_clause_firings() {
+        // Each firing inserts two facts; a cap of 2 trips after the
+        // second firing, before the third.
+        let so = SoTgd::new(
+            vec![(Name::new("f"), 1)],
+            vec![SoClause::new(
+                vec![Atom::vars("Emp", &["x"])],
+                vec![],
+                vec![
+                    Atom::new(
+                        "Boss",
+                        vec![Term::var("x"), Term::func("f", vec![Term::var("x")])],
+                    ),
+                    Atom::vars("SelfMngr", &["x"]),
+                ],
+            )],
+        );
+        let src = Instance::with_facts(
+            emp_schema(),
+            vec![("Emp", vec![tuple!["a"], tuple!["b"], tuple!["c"]])],
+        )
+        .unwrap();
+        let gov = Governor::new(dex_relational::Budget::unlimited().with_max_tuples(2));
+        let SoOutcome::Exhausted(e) = so_exchange(&so, &boss_schema(), &src, &gov).unwrap() else {
+            panic!("the tuple cap trips");
+        };
+        assert_eq!(e.report.reason, dex_relational::TripReason::Tuples);
+        let bosses = e.partial.relation("Boss").unwrap();
+        let selfs = e.partial.relation("SelfMngr").unwrap();
+        assert_eq!((bosses.len(), selfs.len()), (2, 2));
+        for t in selfs.iter() {
+            let f_x = Value::skolem("f", vec![t[0].clone()]);
+            assert!(e
+                .partial
+                .contains("Boss", &Tuple::new(vec![t[0].clone(), f_x])));
+        }
     }
 }

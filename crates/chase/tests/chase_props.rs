@@ -3,13 +3,31 @@
 //! standard/oblivious relationship.
 
 use dex_chase::{
-    certain_answers, core_of, exchange, exchange_with, ChaseOptions, ChaseVariant,
-    ConjunctiveQuery, Matcher,
+    certain_answers, chase, core_of, exchange, Budget, ChaseError, ChaseOptions, ChaseVariant,
+    ConjunctiveQuery, ExchangeResult, Governor, Matcher, RunContext, Start, DEFAULT_MAX_ROUNDS,
 };
 use dex_logic::{parse_mapping, Atom, Mapping};
 use dex_relational::homomorphism::{homomorphically_equivalent, is_homomorphic_to};
 use dex_relational::{tuple, Instance};
 use proptest::prelude::*;
+
+/// A fresh chase with `opts` under the default round ceiling.
+fn exchange_opts(
+    m: &Mapping,
+    src: &Instance,
+    opts: ChaseOptions,
+) -> Result<ExchangeResult, ChaseError> {
+    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+    chase(
+        m,
+        Start::Fresh(src),
+        RunContext {
+            opts,
+            ..RunContext::new(&gov)
+        },
+    )?
+    .into_result()
+}
 
 fn mappings() -> Vec<Mapping> {
     vec![
@@ -181,8 +199,8 @@ proptest! {
     fn standard_vs_oblivious(rows in proptest::collection::vec((0u8..4, 0u8..4), 0..8)) {
         for m in mappings() {
             let src = populate(&m, &rows);
-            let std = exchange_with(&m, &src, ChaseOptions::default()).unwrap();
-            let obl = exchange_with(&m, &src, ChaseOptions {
+            let std = exchange_opts(&m, &src, ChaseOptions::default()).unwrap();
+            let obl = exchange_opts(&m, &src, ChaseOptions {
                 variant: ChaseVariant::Oblivious,
                 ..Default::default()
             }).unwrap();
@@ -207,8 +225,9 @@ proptest! {
             format!("w{}", extra.1).as_str()
         ]).unwrap();
         let q = ConjunctiveQuery::new(vec!["p"], vec![Atom::vars("Parent", &["p", "c"])]).unwrap();
-        let small_ans = certain_answers(&q, &exchange(m, &small).unwrap().target);
-        let big_ans = certain_answers(&q, &exchange(m, &big).unwrap().target);
+        let gov = Governor::unlimited();
+        let small_ans = certain_answers(&q, &exchange(m, &small).unwrap().target, &gov).0;
+        let big_ans = certain_answers(&q, &exchange(m, &big).unwrap().target, &gov).0;
         prop_assert!(small_ans.is_subset(&big_ans));
     }
 
@@ -223,11 +242,11 @@ proptest! {
         for m in mappings().into_iter().chain(target_dep_mappings()) {
             let src = populate(&m, &rows);
             for variant in [ChaseVariant::Standard, ChaseVariant::Oblivious] {
-                let indexed = exchange_with(&m, &src, ChaseOptions {
+                let indexed = exchange_opts(&m, &src, ChaseOptions {
                     variant,
                     matcher: Matcher::Indexed,
                 }).unwrap();
-                let scan = exchange_with(&m, &src, ChaseOptions {
+                let scan = exchange_opts(&m, &src, ChaseOptions {
                     variant,
                     matcher: Matcher::Scan,
                 }).unwrap();
@@ -247,11 +266,11 @@ proptest! {
     fn core_preserves_solutionhood(rows in proptest::collection::vec((0u8..3, 0u8..3), 0..6)) {
         for m in mappings() {
             let src = populate(&m, &rows);
-            let res = exchange_with(&m, &src, ChaseOptions {
+            let res = exchange_opts(&m, &src, ChaseOptions {
                 variant: ChaseVariant::Oblivious,
                 ..Default::default()
             }).unwrap();
-            let core = core_of(&res.target);
+            let core = core_of(&res.target, &Governor::unlimited()).0;
             prop_assert!(m.is_solution(&src, &core), "core lost solutionhood");
             prop_assert!(homomorphically_equivalent(&core, &res.target));
             prop_assert!(core.fact_count() <= res.target.fact_count());

@@ -7,15 +7,36 @@
 //! rows in place. On generated null–null, null–constant and
 //! constant-clash cases, both paths must give the same instance bytes,
 //! the same merge count and the same `EgdFailure` text, through
-//! `exchange` phase 2 (both matchers) and through `enforce_egds_with`.
+//! `exchange` phase 2 (both matchers) and through `enforce_egds`.
 
-use dex_chase::{enforce_egds_with, exchange, exchange_with, ChaseError, ChaseOptions, Matcher};
+use dex_chase::{
+    chase, enforce_egds, exchange, Budget, ChaseError, ChaseOptions, EgdOutcome, ExchangeResult,
+    Governor, Matcher, RunContext, Start, DEFAULT_MAX_ROUNDS,
+};
 use dex_logic::eval::match_conjunction;
 use dex_logic::{parse_mapping, Egd, Mapping};
 use dex_relational::{Instance, NullId, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// A fresh chase with `opts` under the default round ceiling.
+fn exchange_opts(
+    m: &Mapping,
+    src: &Instance,
+    opts: ChaseOptions,
+) -> Result<ExchangeResult, ChaseError> {
+    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+    chase(
+        m,
+        Start::Fresh(src),
+        RunContext {
+            opts,
+            ..RunContext::new(&gov)
+        },
+    )?
+    .into_result()
+}
 
 /// Which kinds of merge and failure the reference saw, so the suite
 /// can check its generators reach all three.
@@ -190,7 +211,7 @@ fn exchange_phase2_equals_the_rebuild_reference() {
                     matcher,
                     ..ChaseOptions::default()
                 };
-                let got = exchange_with(&m, &src, opts);
+                let got = exchange_opts(&m, &src, opts);
                 match (&got, &want) {
                     (Ok(got), Ok((inst, merges, _))) => {
                         assert_eq!(bytes(&got.target), bytes(inst), "case {case} {matcher:?}");
@@ -213,7 +234,8 @@ fn enforce_egds_equals_the_rebuild_reference() {
         for case in 0..150 {
             let inst = target(&m, &mut rng);
             let want = reference_enforce(&inst, m.target_egds(), &mut seen);
-            let got = enforce_egds_with(&inst, m.target_egds());
+            let got = enforce_egds(&inst, m.target_egds(), &Governor::unlimited())
+                .and_then(EgdOutcome::into_result);
             match (&got, &want) {
                 (Ok((got, stats)), Ok((inst, merges, rounds))) => {
                     assert_eq!(bytes(got), bytes(inst), "case {case}");
@@ -262,11 +284,13 @@ fn merge_chain_equals_the_rebuild_reference() {
             matcher,
             ..ChaseOptions::default()
         };
-        let got = exchange_with(&m, &src, opts).unwrap();
+        let got = exchange_opts(&m, &src, opts).unwrap();
         assert_eq!(bytes(&got.target), bytes(&want), "{matcher:?}");
         assert_eq!(got.firings - got.stats.st_firings, merges);
     }
-    let (got, stats) = enforce_egds_with(&base.target, m.target_egds()).unwrap();
+    let (got, stats) = enforce_egds(&base.target, m.target_egds(), &Governor::unlimited())
+        .and_then(EgdOutcome::into_result)
+        .unwrap();
     assert_eq!(bytes(&got), bytes(&want));
     assert_eq!((stats.merges, stats.rounds), (merges, rounds));
 }

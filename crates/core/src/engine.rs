@@ -92,24 +92,12 @@ impl Engine {
         src: &Instance,
         prev_target: Option<&Instance>,
     ) -> Result<Instance, CoreError> {
-        Ok(self.forward_with_stats(src, prev_target)?.0)
-    }
-
-    /// Like [`Engine::forward`], but also gathers per-relation
-    /// execution statistics — the paper's plan process is “highly
-    /// informed by gathered statistics”, and this is where they come
-    /// from.
-    pub fn forward_with_stats(
-        &self,
-        src: &Instance,
-        prev_target: Option<&Instance>,
-    ) -> Result<(Instance, ForwardStats), CoreError> {
         match self.forward_governed(src, prev_target, &Governor::unlimited())? {
-            EngineForward::Complete { target, stats } => Ok((target, stats)),
+            EngineForward::Complete { target, .. } => Ok(target),
             // Unreachable with an unlimited governor.
-            EngineForward::Exhausted { report, .. } => Err(CoreError::Chase(
+            EngineForward::Exhausted { partial, report } => Err(CoreError::Chase(
                 dex_chase::ChaseError::Exhausted(Box::new(dex_chase::Exhausted {
-                    partial: Instance::empty(self.template.target.clone()),
+                    partial,
                     report,
                     stats: Default::default(),
                 })),
@@ -117,13 +105,15 @@ impl Engine {
         }
     }
 
-    /// [`Engine::forward_with_stats`] under a resource budget and/or
-    /// cancellation token. The governor is checked between per-relation
-    /// lens passes (each pass is get + put for one target relation, an
-    /// atomic step) and threaded through the final egd enforcement. A
-    /// trip hands back the target built so far: a consistent prefix of
-    /// whole relation passes — with egds possibly not yet enforced, as
-    /// the report's trip point records.
+    /// [`Engine::forward`] under a resource budget and/or cancellation
+    /// token, also gathering per-relation execution statistics — the
+    /// paper's plan process is “highly informed by gathered
+    /// statistics”, and this is where they come from. The governor is
+    /// checked between per-relation lens passes (each pass is get + put
+    /// for one target relation, an atomic step) and threaded through
+    /// the final egd enforcement. A trip hands back the target built so
+    /// far: a consistent prefix of whole relation passes — with egds
+    /// possibly not yet enforced, as the report's trip point records.
     pub fn forward_governed(
         &self,
         src: &Instance,
@@ -159,7 +149,7 @@ impl Engine {
         }
         if !self.template.target_egds.is_empty() {
             let t0 = Instant::now();
-            match dex_chase::enforce_egds_governed(&tgt, &self.template.target_egds, gov)? {
+            match dex_chase::enforce_egds(&tgt, &self.template.target_egds, gov)? {
                 dex_chase::EgdOutcome::Complete {
                     instance,
                     stats: egd_stats,

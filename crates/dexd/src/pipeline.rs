@@ -19,8 +19,8 @@
 
 use dex_analyze::chase_bounds;
 use dex_chase::{
-    exchange_checkpointed, exchange_governed, resume_exchange, ChaseError, ChaseOptions,
-    ChaseOutcome, Governor, ResumeState, DEFAULT_MAX_ROUNDS,
+    ChaseError, ChaseOptions, ChaseOutcome, CheckpointSink, Governor, RunContext, Start,
+    DEFAULT_MAX_ROUNDS,
 };
 use dex_evolution::{
     compile_migration_checked, diff, prefix_instance, render_mapping_dex, render_schema_dex,
@@ -125,16 +125,12 @@ pub fn chase(
     gov: &Governor,
     store: Option<&mut Store>,
 ) -> Result<ChaseOutcome, ChaseError> {
-    match store {
-        Some(store) => exchange_checkpointed(
-            mapping,
-            src,
-            ChaseOptions::default(),
-            gov,
-            &mut StoreSink::new(store),
-        ),
-        None => exchange_governed(mapping, src, ChaseOptions::default(), gov),
-    }
+    let mut sink = store.map(StoreSink::new);
+    let ctx = RunContext {
+        sink: sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
+        ..RunContext::new(gov)
+    };
+    dex_chase::chase(mapping, Start::Fresh(src), ctx)
 }
 
 /// Continue a journaled chase from the recovered, unfinished `state`.
@@ -145,20 +141,11 @@ pub fn resume(
     gov: &Governor,
 ) -> Result<ChaseOutcome, String> {
     store.prepare_resume(&state).map_err(|e| e.to_string())?;
-    let state = ResumeState {
-        target: state.instance,
-        next_null: state.next_null,
-        rounds: state.round,
+    let ctx = RunContext {
+        sink: Some(&mut StoreSink::new(store)),
+        ..RunContext::new(gov)
     };
-    let mut sink = StoreSink::new(store);
-    resume_exchange(
-        mapping,
-        state,
-        ChaseOptions::default(),
-        gov,
-        Some(&mut sink),
-    )
-    .map_err(|e| e.to_string())
+    dex_chase::chase(mapping, Start::Resume(state.into()), ctx).map_err(|e| e.to_string())
 }
 
 /// Why a migration was refused before any byte of the store changed.

@@ -358,7 +358,7 @@ fn term_mentions_var(t: &Term, v: &Name) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_chase::{exchange, so_exchange};
+    use dex_chase::{exchange, so_exchange, Governor};
     use dex_logic::parse_mapping;
     use dex_relational::homomorphism::homomorphically_equivalent;
     use dex_relational::{tuple, Instance};
@@ -418,7 +418,10 @@ mod tests {
         let j = exchange(&m12(), &src).unwrap().target;
         let k_seq = exchange(&m23(), &j).unwrap().target;
         // Direct: chase the composed SO-tgd.
-        let k_direct = so_exchange(&comp.sotgd, m23().target(), &src).unwrap();
+        let k_direct = so_exchange(&comp.sotgd, m23().target(), &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert!(
             homomorphically_equivalent(&k_seq, &k_direct),
             "sequential:\n{k_seq}\ndirect:\n{k_direct}"

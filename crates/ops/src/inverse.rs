@@ -16,7 +16,7 @@
 //!   different sources with homomorphically equivalent solution spaces.
 
 use crate::error::OpsError;
-use dex_chase::{exchange, exchange_governed, ChaseOptions, ChaseOutcome};
+use dex_chase::{chase, ChaseOutcome, RunContext, Start};
 use dex_logic::{Atom, DisjTgd, Mapping, Term};
 use dex_relational::homomorphism::homomorphically_equivalent;
 use dex_relational::{ExhaustionReport, Governor, Instance, Name};
@@ -239,28 +239,20 @@ pub fn maximum_recovery(m: &Mapping) -> Result<MaxRecovery, OpsError> {
 /// `M'` is a *recovery* of `M` when every source instance is a
 /// possible way back from its own exchange — operationally, the
 /// canonical universal solution of `i` composed with `M'` must admit
-/// `i`. A `false` result is a definite counterexample; `true` over the
+/// `i`. `Ok(false)` is a definite counterexample; `Ok(true)` over the
 /// samples is evidence (the property is ∀-quantified over instances).
-pub fn is_recovery_witness(m: &Mapping, candidate: &MaxRecovery, samples: &[Instance]) -> bool {
-    samples.iter().all(|i| match exchange(m, i) {
-        Ok(res) => candidate.satisfied_by(&res.target, i),
-        Err(_) => true, // failed exchanges have no solutions to recover
-    })
-}
-
-/// [`is_recovery_witness`] with the nested chases run under a shared
-/// [`Governor`]. When a budget or cancellation trips one of the nested
-/// exchanges the property is *undecided* — the partial solution says
+/// The nested chases share `gov`. When a budget or cancellation trips
+/// one of them the property is *undecided* — the partial solution says
 /// nothing about recovery — so the report is surfaced as `Err` instead
 /// of guessing either way.
-pub fn is_recovery_witness_governed(
+pub fn is_recovery_witness(
     m: &Mapping,
     candidate: &MaxRecovery,
     samples: &[Instance],
     gov: &Governor,
 ) -> Result<bool, ExhaustionReport> {
     for i in samples {
-        match exchange_governed(m, i, ChaseOptions::default(), gov) {
+        match chase(m, Start::Fresh(i), RunContext::new(gov)) {
             Ok(ChaseOutcome::Complete(res)) => {
                 if !candidate.satisfied_by(&res.target, i) {
                     return Ok(false);
@@ -275,23 +267,12 @@ pub fn is_recovery_witness_governed(
 
 /// Fagin-non-invertibility witness: two *different* source instances
 /// whose canonical universal solutions are homomorphically equivalent
-/// (hence with identical solution spaces). If this returns `true`, no
-/// exact inverse of `m` exists.
-pub fn not_invertible_witness(m: &Mapping, i1: &Instance, i2: &Instance) -> bool {
-    if i1 == i2 {
-        return false;
-    }
-    let (Ok(j1), Ok(j2)) = (exchange(m, i1), exchange(m, i2)) else {
-        return false;
-    };
-    homomorphically_equivalent(&j1.target, &j2.target)
-}
-
-/// [`not_invertible_witness`] with the two nested chases run under a
-/// shared [`Governor`]. `Err` carries the exhaustion report when a
-/// budget tripped before both canonical solutions were materialized
-/// (the witness is then undecided).
-pub fn not_invertible_witness_governed(
+/// (hence with identical solution spaces). If this returns `Ok(true)`,
+/// no exact inverse of `m` exists. The two nested chases share `gov`;
+/// `Err` carries the exhaustion report when a budget tripped before
+/// both canonical solutions were materialized (the witness is then
+/// undecided).
+pub fn not_invertible_witness(
     m: &Mapping,
     i1: &Instance,
     i2: &Instance,
@@ -302,7 +283,7 @@ pub fn not_invertible_witness_governed(
     }
     let mut solutions = Vec::with_capacity(2);
     for i in [i1, i2] {
-        match exchange_governed(m, i, ChaseOptions::default(), gov) {
+        match chase(m, Start::Fresh(i), RunContext::new(gov)) {
             Ok(ChaseOutcome::Complete(res)) => solutions.push(res.target),
             Ok(ChaseOutcome::Exhausted(e)) => return Err(e.report),
             Err(_) => return Ok(false),
@@ -314,8 +295,21 @@ pub fn not_invertible_witness_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_chase::DEFAULT_MAX_ROUNDS;
     use dex_logic::parse_mapping;
-    use dex_relational::tuple;
+    use dex_relational::{tuple, Budget, CancelToken, TripReason};
+
+    /// The round ceiling an unbudgeted [`dex_chase::exchange`] applies.
+    fn ceiling() -> Governor {
+        Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS))
+    }
+
+    /// A governor whose cancellation has already fired.
+    fn cancelled() -> Governor {
+        let token = CancelToken::new();
+        token.cancel();
+        Governor::new(Budget::unlimited()).with_cancel(token)
+    }
 
     fn parents_mapping() -> Mapping {
         parse_mapping(
@@ -405,7 +399,10 @@ mod tests {
             )
             .unwrap(),
         ];
-        assert!(is_recovery_witness(&m, &rec, &samples));
+        assert_eq!(
+            is_recovery_witness(&m, &rec, &samples, &ceiling()),
+            Ok(true)
+        );
     }
 
     /// The naive flip (requiring BOTH Father and Mother) is *not* a
@@ -433,7 +430,10 @@ mod tests {
             vec![("Father", vec![tuple!["Leslie", "Alice"]])],
         )
         .unwrap()];
-        assert!(!is_recovery_witness(&m, &flip, &samples));
+        assert_eq!(
+            is_recovery_witness(&m, &flip, &samples, &ceiling()),
+            Ok(false)
+        );
     }
 
     /// Example 3's mapping is not Fagin-invertible: Father-only and
@@ -451,7 +451,7 @@ mod tests {
             vec![("Mother", vec![tuple!["Leslie", "Alice"]])],
         )
         .unwrap();
-        assert!(not_invertible_witness(&m, &i1, &i2));
+        assert_eq!(not_invertible_witness(&m, &i1, &i2, &ceiling()), Ok(true));
     }
 
     /// Example 1's recovery: `Manager(v0, v1) → Emp(v0)` — the
@@ -468,7 +468,10 @@ mod tests {
             vec![("Emp", vec![tuple!["Alice"], tuple!["Bob"]])],
         )
         .unwrap()];
-        assert!(is_recovery_witness(&m, &rec, &samples));
+        assert_eq!(
+            is_recovery_witness(&m, &rec, &samples, &ceiling()),
+            Ok(true)
+        );
     }
 
     /// A lossless renaming mapping *is* invertible: the witness test
@@ -487,8 +490,12 @@ mod tests {
             .unwrap();
         let i2 = Instance::with_facts(m.source().clone(), vec![("A", vec![tuple![3i64, 4i64]])])
             .unwrap();
-        assert!(!not_invertible_witness(&m, &i1, &i2));
-        assert!(!not_invertible_witness(&m, &i1, &i1), "equal instances");
+        assert_eq!(not_invertible_witness(&m, &i1, &i2, &ceiling()), Ok(false));
+        assert_eq!(
+            not_invertible_witness(&m, &i1, &i1, &ceiling()),
+            Ok(false),
+            "equal instances"
+        );
     }
 
     /// Source-only variables stay existential in the recovery
@@ -548,5 +555,28 @@ mod tests {
             maximum_recovery(&repeated).unwrap_err(),
             OpsError::UnsupportedFragment { .. }
         ));
+    }
+
+    /// A stopped chase decides nothing: both witnesses answer
+    /// "undecided" with the report, never a guessed `false`.
+    #[test]
+    fn tripped_budget_leaves_witnesses_undecided() {
+        let m = parents_mapping();
+        let rec = maximum_recovery(&m).unwrap();
+        let i1 = Instance::with_facts(
+            m.source().clone(),
+            vec![("Father", vec![tuple!["Leslie", "Alice"]])],
+        )
+        .unwrap();
+        let i2 = Instance::with_facts(
+            m.source().clone(),
+            vec![("Mother", vec![tuple!["Leslie", "Alice"]])],
+        )
+        .unwrap();
+        let samples = [i1.clone()];
+        let report = is_recovery_witness(&m, &rec, &samples, &cancelled()).unwrap_err();
+        assert_eq!(report.reason, TripReason::Cancelled);
+        let report = not_invertible_witness(&m, &i1, &i2, &cancelled()).unwrap_err();
+        assert_eq!(report.reason, TripReason::Cancelled);
     }
 }

@@ -36,7 +36,7 @@ pub mod verify;
 pub use compose::{compose, Composition};
 pub use error::OpsError;
 pub use inverse::{
-    is_recovery_witness, is_recovery_witness_governed, maximum_recovery, not_invertible_witness,
-    not_invertible_witness_governed, recovery_obstacles, MaxRecovery, RecoveryObstacle,
+    is_recovery_witness, maximum_recovery, not_invertible_witness, recovery_obstacles, MaxRecovery,
+    RecoveryObstacle,
 };
 pub use verify::{verify_composition, CompositionCheck, CompositionCounterexample};

@@ -14,7 +14,7 @@
 //! `dexcli fsck --repair` or `dexcli migrate --resume` rolls it
 //! forward; afterwards the store is clean and serves the new schema.
 
-use dex_chase::{exchange_checkpointed, ChaseOptions};
+use dex_chase::{chase, ChaseOptions, RunContext, Start};
 use dex_logic::parse_mapping;
 use dex_relational::{tuple, Governor, Instance, RelSchema, Schema};
 use dex_store::{MigratePlan, MigrateRun, Migration, Store, StoreMode, StoreOptions, StoreSink};
@@ -49,12 +49,13 @@ fn main() {
     .unwrap();
     let mut store = Store::create(&dir, StoreMode::Chase, OLD_MAPPING, &src, opts).unwrap();
     let mut sink = StoreSink::new(&mut store);
-    exchange_checkpointed(
+    chase(
         &m,
-        &src,
-        ChaseOptions::default(),
-        &Governor::unlimited(),
-        &mut sink,
+        Start::Fresh(&src),
+        RunContext {
+            sink: Some(&mut sink),
+            ..RunContext::new(&Governor::unlimited())
+        },
     )
     .unwrap();
     let state = store.recover().unwrap().unwrap().state;

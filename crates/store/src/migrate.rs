@@ -56,8 +56,7 @@ use crate::store::{
 };
 use crate::wal;
 use dex_chase::{
-    exchange_checkpointed, resume_exchange, ChaseError, ChaseOptions, ChaseOutcome, Checkpoint,
-    CheckpointSink, ResumeState,
+    chase, ChaseError, ChaseOptions, ChaseOutcome, Checkpoint, CheckpointSink, RunContext, Start,
 };
 use dex_relational::{ExhaustionReport, Governor, Instance};
 
@@ -408,32 +407,32 @@ impl Migration {
             dex_logic::parse_mapping(&self.plan.mapping_text).map_err(|e| MigrateError::Plan {
                 detail: format!("migration mapping does not parse: {e}"),
             })?;
-        let recovered = self.store.recover()?;
-        let outcome = match recovered {
-            Some(r) if r.state.complete => return Ok(MigrateRun::Done(r.state)),
-            Some(r) => {
-                self.store.prepare_resume(&r.state)?;
-                let resume = ResumeState {
-                    target: r.state.instance,
-                    next_null: r.state.next_null,
-                    rounds: r.state.round,
-                };
-                let mut sink = MigrateSink {
-                    store: &mut self.store,
-                    staging: &self.staging,
-                    sync: self.opts.sync,
-                };
-                resume_exchange(&mapping, resume, opts, gov, Some(&mut sink))?
-            }
-            None => {
-                let src = self.store.source()?;
-                let mut sink = MigrateSink {
-                    store: &mut self.store,
-                    staging: &self.staging,
-                    sync: self.opts.sync,
-                };
-                exchange_checkpointed(&mapping, &src, opts, gov, &mut sink)?
-            }
+        // The block drops a fresh run's source before the read-back
+        // below loads a second instance.
+        let outcome = {
+            let src;
+            let start = match self.store.recover()? {
+                Some(r) if r.state.complete => return Ok(MigrateRun::Done(r.state)),
+                Some(r) => {
+                    self.store.prepare_resume(&r.state)?;
+                    Start::Resume(r.state.into())
+                }
+                None => {
+                    src = self.store.source()?;
+                    Start::Fresh(&src)
+                }
+            };
+            let mut sink = MigrateSink {
+                store: &mut self.store,
+                staging: &self.staging,
+                sync: self.opts.sync,
+            };
+            let ctx = RunContext {
+                gov,
+                opts,
+                sink: Some(&mut sink),
+            };
+            chase(&mapping, start, ctx)?
         };
         match outcome {
             ChaseOutcome::Complete(_) => {

@@ -13,6 +13,7 @@ use std::path::Path;
 use crate::blob;
 use crate::codec::{Decoder, Encoder};
 use crate::error::StoreError;
+use dex_chase::ResumeState;
 use dex_relational::Instance;
 
 /// Magic bytes opening `snapshot.bin`.
@@ -57,6 +58,17 @@ impl ChaseState {
             round: self.round,
             next_null: self.next_null,
             complete: self.complete,
+        }
+    }
+}
+
+/// The boundary a resumed chase continues from.
+impl From<ChaseState> for ResumeState {
+    fn from(state: ChaseState) -> Self {
+        ResumeState {
+            target: state.instance,
+            next_null: state.next_null,
+            rounds: state.round,
         }
     }
 }

@@ -24,9 +24,7 @@ mod temp_dir;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use temp_dir::TempDir;
 
-use dex_chase::{
-    exchange_checkpointed, resume_exchange, ChaseOptions, Checkpoint, CheckpointSink, ResumeState,
-};
+use dex_chase::{chase, Checkpoint, CheckpointSink, RunContext, Start};
 use dex_logic::{parse_mapping, Mapping};
 use dex_relational::fail::{arm, clear, exclusive, FailAction, STORE_SITES};
 use dex_relational::{tuple, Governor, Instance};
@@ -116,12 +114,13 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
     let (m, src) = fixture();
     // Ground truth: every committed boundary and the final instance.
     let mut rec = Recorder::default();
-    let truth = exchange_checkpointed(
+    let truth = chase(
         &m,
-        &src,
-        ChaseOptions::default(),
-        &Governor::unlimited(),
-        &mut rec,
+        Start::Fresh(&src),
+        RunContext {
+            sink: Some(&mut rec),
+            ..RunContext::new(&Governor::unlimited())
+        },
     )
     .unwrap()
     .into_result()
@@ -154,12 +153,13 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
                     let mut store =
                         Store::create(&dir, StoreMode::Chase, MAPPING, &src, opts()).unwrap();
                     let mut sink = StoreSink::new(&mut store);
-                    exchange_checkpointed(
+                    chase(
                         &m,
-                        &src,
-                        ChaseOptions::default(),
-                        &Governor::unlimited(),
-                        &mut sink,
+                        Start::Fresh(&src),
+                        RunContext {
+                            sink: Some(&mut sink),
+                            ..RunContext::new(&Governor::unlimited())
+                        },
                     )
                 }));
                 clear();
@@ -208,12 +208,13 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
                         let src = store.source().unwrap();
                         assert_eq!(src, fixture().1, "{ctx}: source survives");
                         let mut sink = StoreSink::new(&mut store);
-                        exchange_checkpointed(
+                        chase(
                             &m,
-                            &src,
-                            ChaseOptions::default(),
-                            &Governor::unlimited(),
-                            &mut sink,
+                            Start::Fresh(&src),
+                            RunContext {
+                                sink: Some(&mut sink),
+                                ..RunContext::new(&Governor::unlimited())
+                            },
                         )
                         .unwrap()
                         .into_result()
@@ -227,16 +228,13 @@ fn fault_at_every_site_action_and_ordinal_recovers_to_a_committed_round() {
                         } else {
                             store.prepare_resume(&r.state).unwrap();
                             let mut sink = StoreSink::new(&mut store);
-                            resume_exchange(
+                            chase(
                                 &m,
-                                ResumeState {
-                                    target: r.state.instance.clone(),
-                                    next_null: r.state.next_null,
-                                    rounds: r.state.round,
+                                Start::Resume(r.state.clone().into()),
+                                RunContext {
+                                    sink: Some(&mut sink),
+                                    ..RunContext::new(&Governor::unlimited())
                                 },
-                                ChaseOptions::default(),
-                                &Governor::unlimited(),
-                                Some(&mut sink),
                             )
                             .unwrap()
                             .into_result()
@@ -284,12 +282,13 @@ fn short_write_lengths_cover_the_record_framing() {
         let (m, src) = fixture();
         let mut store = Store::create(&dir, StoreMode::Chase, MAPPING, &src, opts()).unwrap();
         let mut sink = StoreSink::new(&mut store);
-        let err = exchange_checkpointed(
+        let err = chase(
             &m,
-            &src,
-            ChaseOptions::default(),
-            &Governor::unlimited(),
-            &mut sink,
+            Start::Fresh(&src),
+            RunContext {
+                sink: Some(&mut sink),
+                ..RunContext::new(&Governor::unlimited())
+            },
         )
         .expect_err("short write must abort the run");
         assert!(matches!(err, dex_chase::ChaseError::Checkpoint(_)));

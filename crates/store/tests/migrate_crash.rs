@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use temp_dir::TempDir;
 
-use dex_chase::{exchange_checkpointed, ChaseOptions, Checkpoint, CheckpointSink};
+use dex_chase::{chase, ChaseOptions, Checkpoint, CheckpointSink, RunContext, Start};
 use dex_logic::parse_mapping;
 use dex_relational::fail::{arm, clear, exclusive, FailAction, MIGRATE_SITES, STORE_SITES};
 use dex_relational::{tuple, Governor, Instance, RelSchema, Schema};
@@ -237,12 +237,13 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
     // staged runs — determinism makes them comparable).
     let mapping = parse_mapping(MIGRATION).unwrap();
     let mut rec = Recorder::default();
-    exchange_checkpointed(
+    chase(
         &mapping,
-        &prefixed_source(),
-        ChaseOptions::default(),
-        &Governor::unlimited(),
-        &mut rec,
+        Start::Fresh(&prefixed_source()),
+        RunContext {
+            sink: Some(&mut rec),
+            ..RunContext::new(&Governor::unlimited())
+        },
     )
     .unwrap()
     .into_result()

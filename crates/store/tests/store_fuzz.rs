@@ -11,7 +11,7 @@ mod temp_dir;
 use std::path::Path;
 use temp_dir::TempDir;
 
-use dex_chase::exchange_checkpointed;
+use dex_chase::{chase, RunContext, Start};
 use dex_logic::parse_mapping;
 use dex_relational::{tuple, Governor, Instance};
 use dex_store::{codec, fsck, wal, Store, StoreMode, StoreOptions, StoreSink};
@@ -45,12 +45,13 @@ fn build_store(tag: u64) -> TempDir {
     )
     .unwrap();
     let mut sink = StoreSink::new(&mut store);
-    exchange_checkpointed(
+    chase(
         &m,
-        &src,
-        Default::default(),
-        &Governor::unlimited(),
-        &mut sink,
+        Start::Fresh(&src),
+        RunContext {
+            sink: Some(&mut sink),
+            ..RunContext::new(&Governor::unlimited())
+        },
     )
     .unwrap();
     dir

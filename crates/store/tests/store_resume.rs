@@ -16,9 +16,7 @@ mod temp_dir;
 
 use temp_dir::TempDir;
 
-use dex_chase::{
-    exchange, exchange_checkpointed, resume_exchange, ChaseOptions, ChaseOutcome, ResumeState,
-};
+use dex_chase::{chase, exchange, ChaseOutcome, RunContext, Start};
 use dex_logic::{parse_mapping, Mapping};
 use dex_relational::{tuple, Budget, Governor, Instance};
 use dex_store::{fsck, ChaseState, Store, StoreMode, StoreOptions};
@@ -74,7 +72,15 @@ fn run_to_store(dir: &std::path::Path, snapshot_every: u64, gov: &Governor) -> C
     let mut store =
         Store::create(dir, StoreMode::Chase, MAPPING, &src, opts(snapshot_every)).unwrap();
     let mut sink = dex_store::StoreSink::new(&mut store);
-    exchange_checkpointed(&m, &src, ChaseOptions::default(), gov, &mut sink).unwrap()
+    chase(
+        &m,
+        Start::Fresh(&src),
+        RunContext {
+            sink: Some(&mut sink),
+            ..RunContext::new(gov)
+        },
+    )
+    .unwrap()
 }
 
 #[test]
@@ -126,16 +132,13 @@ fn exhausted_run_resumes_to_the_uninterrupted_result() {
         assert!(!rec.state.complete);
         store.prepare_resume(&rec.state).unwrap();
         let mut sink = dex_store::StoreSink::new(&mut store);
-        let resumed = resume_exchange(
+        let resumed = chase(
             &m,
-            ResumeState {
-                target: rec.state.instance.clone(),
-                next_null: rec.state.next_null,
-                rounds: rec.state.round,
+            Start::Resume(rec.state.clone().into()),
+            RunContext {
+                sink: Some(&mut sink),
+                ..RunContext::new(&Governor::unlimited())
             },
-            ChaseOptions::default(),
-            &Governor::unlimited(),
-            Some(&mut sink),
         )
         .unwrap()
         .into_result()
@@ -161,7 +164,7 @@ fn resumed_round_caps_count_total_rounds_across_restarts() {
     // Uninterrupted under a total cap of 6 rounds.
     let gov = Governor::new(Budget::unlimited().with_max_rounds(6));
     let ChaseOutcome::Exhausted(whole) =
-        dex_chase::exchange_governed(&m, &src, ChaseOptions::default(), &gov).unwrap()
+        chase(&m, Start::Fresh(&src), RunContext::new(&gov)).unwrap()
     else {
         panic!("ping-pong must exhaust")
     };
@@ -170,9 +173,15 @@ fn resumed_round_caps_count_total_rounds_across_restarts() {
     let mut store = Store::create(&dir, StoreMode::Chase, PING_PONG, &src, opts(2)).unwrap();
     let gov1 = Governor::new(Budget::unlimited().with_max_rounds(3));
     let mut sink = dex_store::StoreSink::new(&mut store);
-    let ChaseOutcome::Exhausted(_) =
-        exchange_checkpointed(&m, &src, ChaseOptions::default(), &gov1, &mut sink).unwrap()
-    else {
+    let ChaseOutcome::Exhausted(_) = chase(
+        &m,
+        Start::Fresh(&src),
+        RunContext {
+            sink: Some(&mut sink),
+            ..RunContext::new(&gov1)
+        },
+    )
+    .unwrap() else {
         panic!("first leg must exhaust")
     };
 
@@ -180,16 +189,13 @@ fn resumed_round_caps_count_total_rounds_across_restarts() {
     store.prepare_resume(&rec.state).unwrap();
     let gov2 = Governor::new(Budget::unlimited().with_max_rounds(6));
     let mut sink = dex_store::StoreSink::new(&mut store);
-    let ChaseOutcome::Exhausted(second) = resume_exchange(
+    let ChaseOutcome::Exhausted(second) = chase(
         &m,
-        ResumeState {
-            target: rec.state.instance,
-            next_null: rec.state.next_null,
-            rounds: rec.state.round,
+        Start::Resume(rec.state.into()),
+        RunContext {
+            sink: Some(&mut sink),
+            ..RunContext::new(&gov2)
         },
-        ChaseOptions::default(),
-        &gov2,
-        Some(&mut sink),
     )
     .unwrap() else {
         panic!("second leg must exhaust at the same total cap")

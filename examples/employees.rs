@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example employees`.
 
-use dex::chase::{core_of, exchange, so_exchange};
+use dex::chase::{core_of, exchange, so_exchange, Budget, Governor, DEFAULT_MAX_ROUNDS};
 use dex::logic::parse_mapping;
 use dex::ops::{compose, maximum_recovery, not_invertible_witness};
 use dex::relational::homomorphism::is_homomorphic_to;
@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     assert!(is_homomorphic_to(&j_star, &j1));
     println!("J* -> J1 homomorphism exists: the null solution is most general");
-    assert_eq!(core_of(&j_star), j_star, "J* is already a core");
+    let (core, _) = core_of(&j_star, &Governor::unlimited());
+    assert_eq!(core, j_star, "J* is already a core");
 
     // ------------------------------------------------------ Example 2
     println!("\n== Example 2: composition needs second-order tgds ==");
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         comp.st_tgds.is_none(),
         "not expressible by st-tgds (second-order quantification is unavoidable)"
     );
-    let k = so_exchange(&comp.sotgd, m23.target(), &i)?;
+    let k = so_exchange(&comp.sotgd, m23.target(), &i, &Governor::unlimited())?.into_result()?;
     println!("chasing the SO-tgd over I yields Skolem-term bosses:\n{k}");
 
     // ------------------------------------------------------ Example 3
@@ -78,7 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parents.source().clone(),
         vec![("Mother", vec![tuple!["Leslie", "Alice"]])],
     )?;
-    assert!(not_invertible_witness(&parents, &i1, &i2));
+    let gov = Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS));
+    assert_eq!(not_invertible_witness(&parents, &i1, &i2, &gov), Ok(true));
     println!("Father-only and Mother-only sources are indistinguishable: no exact inverse");
 
     let recovery = maximum_recovery(&parents)?;

@@ -35,7 +35,7 @@ use dex::analyze::{
     parse_error_diagnostic, render_all, sort_diagnostics, verify_containment_witness,
     AnalyzeOptions, Code, ContainmentVerdict,
 };
-use dex::chase::{certain_answers_governed, Budget, ChaseOutcome, ChaseStats, Governor};
+use dex::chase::{certain_answers, Budget, ChaseOutcome, ChaseStats, Governor};
 use dex::core::{compile, Engine, EngineForward, ForwardStats};
 use dex::evolution::render_mapping_dex;
 use dex::logic::{parse_mapping, parse_mapping_with_spans, Mapping};
@@ -274,7 +274,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 ChaseOutcome::Complete(res) => (res.target, None),
                 ChaseOutcome::Exhausted(ex) => (ex.partial, Some(ex.report)),
             };
-            let (answers, eval_report) = certain_answers_governed(&q, &j, &gov);
+            let (answers, eval_report) = certain_answers(&q, &j, &gov);
             let exhausted = chase_report.or(eval_report);
             match &exhausted {
                 Some(report) => {

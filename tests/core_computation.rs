@@ -2,11 +2,34 @@
 //! J* is its own core; redundancy-producing mappings get minimized;
 //! cores stay homomorphically equivalent to their inputs.
 
-use dex::chase::{core_of, exchange, exchange_with, ChaseOptions, ChaseVariant};
-use dex::logic::parse_mapping;
+use dex::chase::{
+    chase, core_of, exchange, ChaseOptions, ChaseVariant, ExchangeResult, Governor, RunContext,
+    Start,
+};
+use dex::logic::{parse_mapping, Mapping};
 use dex::relational::homomorphism::homomorphically_equivalent;
 use dex::relational::{tuple, Instance, Tuple, Value};
 use proptest::prelude::*;
+
+/// The oblivious chase of `src`, which leaves redundant null blocks.
+fn oblivious(m: &Mapping, src: &Instance) -> ExchangeResult {
+    let opts = ChaseOptions {
+        variant: ChaseVariant::Oblivious,
+        ..Default::default()
+    };
+    let gov = Governor::unlimited();
+    chase(
+        m,
+        Start::Fresh(src),
+        RunContext {
+            opts,
+            ..RunContext::new(&gov)
+        },
+    )
+    .unwrap()
+    .into_result()
+    .unwrap()
+}
 
 #[test]
 fn example1_chase_result_is_core() {
@@ -24,7 +47,7 @@ fn example1_chase_result_is_core() {
     )
     .unwrap();
     let j = exchange(&m, &src).unwrap().target;
-    assert_eq!(core_of(&j), j);
+    assert_eq!(core_of(&j, &Governor::unlimited()).0, j);
 }
 
 #[test]
@@ -44,17 +67,9 @@ fn oblivious_redundancy_folds_away() {
     let mut src = Instance::empty(m.source().clone());
     src.insert("E1", tuple!["a"]).unwrap();
     src.insert("E2", tuple!["a"]).unwrap();
-    let obl = exchange_with(
-        &m,
-        &src,
-        ChaseOptions {
-            variant: ChaseVariant::Oblivious,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let obl = oblivious(&m, &src);
     assert_eq!(obl.target.fact_count(), 2, "oblivious chase is redundant");
-    let c = core_of(&obl.target);
+    let c = core_of(&obl.target, &Governor::unlimited()).0;
     assert_eq!(c.fact_count(), 1, "core folds the duplicate null block");
     assert!(homomorphically_equivalent(&c, &obl.target));
 }
@@ -76,17 +91,9 @@ fn ground_facts_dominate_null_facts() {
     let mut src = Instance::empty(m.source().clone());
     src.insert("Pair", tuple!["k", "v"]).unwrap();
     src.insert("Single", tuple!["k"]).unwrap();
-    let obl = exchange_with(
-        &m,
-        &src,
-        ChaseOptions {
-            variant: ChaseVariant::Oblivious,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let obl = oblivious(&m, &src);
     assert_eq!(obl.target.fact_count(), 2);
-    let c = core_of(&obl.target);
+    let c = core_of(&obl.target, &Governor::unlimited()).0;
     assert_eq!(c.fact_count(), 1);
     assert!(c.contains("Out", &tuple!["k", "v"]));
 }
@@ -111,7 +118,7 @@ fn core_of_chains_preserves_reachability_structure() {
     .unwrap();
     let j = exchange(&m, &src).unwrap().target;
     assert_eq!(j.fact_count(), 4);
-    let c = core_of(&j);
+    let c = core_of(&j, &Governor::unlimited()).0;
     assert_eq!(c.fact_count(), 4, "nothing folds: constants differ");
 }
 
@@ -137,9 +144,9 @@ proptest! {
             };
             inst.insert("R", Tuple::new(vec![Value::str(format!("k{a}")), bval])).unwrap();
         }
-        let c = core_of(&inst);
+        let c = core_of(&inst, &Governor::unlimited()).0;
         prop_assert!(homomorphically_equivalent(&c, &inst));
-        prop_assert_eq!(core_of(&c), c.clone(), "idempotent");
+        prop_assert_eq!(core_of(&c, &Governor::unlimited()).0, c.clone(), "idempotent");
         prop_assert!(c.fact_count() <= inst.fact_count());
     }
 }
@@ -165,8 +172,14 @@ fn null_density_controls_folding() {
             nulls_only.insert("R", t).unwrap();
         }
         with_ground.insert("R", tuple!["hub", "spoke"]).unwrap();
-        assert_eq!(core_of(&with_ground).fact_count(), 1);
-        assert_eq!(core_of(&nulls_only).fact_count(), 1);
-        assert!(core_of(&nulls_only).nulls().len() == 1);
+        assert_eq!(
+            core_of(&with_ground, &Governor::unlimited()).0.fact_count(),
+            1
+        );
+        assert_eq!(
+            core_of(&nulls_only, &Governor::unlimited()).0.fact_count(),
+            1
+        );
+        assert!(core_of(&nulls_only, &Governor::unlimited()).0.nulls().len() == 1);
     }
 }

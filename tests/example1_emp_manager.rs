@@ -5,7 +5,7 @@
 //! because it is most general (maps homomorphically into every
 //! solution), and the chase materializes exactly such a J*.
 
-use dex::chase::{exchange, exchange_with, ChaseOptions, ChaseVariant};
+use dex::chase::{chase, exchange, ChaseOptions, ChaseVariant, Governor, RunContext, Start};
 use dex::logic::parse_mapping;
 use dex::relational::homomorphism::{homomorphically_equivalent, is_homomorphic_to};
 use dex::relational::{tuple, Instance, Tuple, Value};
@@ -116,16 +116,20 @@ fn chase_materializes_j_star_up_to_renaming() {
 
 #[test]
 fn standard_and_oblivious_chase_agree_semantically() {
-    let std = exchange_with(&mapping(), &source(), ChaseOptions::default()).unwrap();
-    let obl = exchange_with(
-        &mapping(),
-        &source(),
-        ChaseOptions {
-            variant: ChaseVariant::Oblivious,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let std = exchange(&mapping(), &source()).unwrap();
+    let opts = ChaseOptions {
+        variant: ChaseVariant::Oblivious,
+        ..Default::default()
+    };
+    let gov = Governor::unlimited();
+    let ctx = RunContext {
+        opts,
+        ..RunContext::new(&gov)
+    };
+    let obl = chase(&mapping(), Start::Fresh(&source()), ctx)
+        .unwrap()
+        .into_result()
+        .unwrap();
     assert!(homomorphically_equivalent(&std.target, &obl.target));
 }
 

@@ -1,7 +1,7 @@
 //! E3 — paper §2 Example 2: composing Emp→Manager with
 //! Manager→Boss/SelfMngr requires second-order tgds.
 
-use dex::chase::{exchange, so_exchange};
+use dex::chase::{exchange, so_exchange, Governor};
 use dex::logic::{parse_mapping, Mapping};
 use dex::ops::compose;
 use dex::relational::homomorphism::homomorphically_equivalent;
@@ -100,7 +100,10 @@ fn one_step_equals_two_step() {
             let j = exchange(&m12(), &src).unwrap().target;
             exchange(&m23(), &j).unwrap().target
         };
-        let one_step = so_exchange(&comp.sotgd, m23().target(), &src).unwrap();
+        let one_step = so_exchange(&comp.sotgd, m23().target(), &src, &Governor::unlimited())
+            .unwrap()
+            .into_result()
+            .unwrap();
         assert!(
             homomorphically_equivalent(&two_step, &one_step),
             "n={n}: two-step and one-step disagree"

@@ -1,10 +1,15 @@
 //! E4 — paper §2 Example 3: inversion loses information; the maximum
 //! recovery is disjunctive.
 
-use dex::chase::exchange;
+use dex::chase::{exchange, Budget, Governor, DEFAULT_MAX_ROUNDS};
 use dex::logic::{parse_mapping, Mapping};
 use dex::ops::{is_recovery_witness, maximum_recovery, not_invertible_witness};
 use dex::relational::{tuple, Instance};
+
+/// The round ceiling an unbudgeted [`exchange`] applies.
+fn ceiling() -> Governor {
+    Governor::new(Budget::unlimited().with_max_rounds(DEFAULT_MAX_ROUNDS))
+}
 
 fn parents() -> Mapping {
     parse_mapping(
@@ -50,7 +55,7 @@ fn mapping_is_not_fagin_invertible() {
         vec![("Mother", vec![tuple!["Leslie", "Alice"]])],
     )
     .unwrap();
-    assert!(not_invertible_witness(&m, &i1, &i2));
+    assert_eq!(not_invertible_witness(&m, &i1, &i2, &ceiling()), Ok(true));
 }
 
 #[test]
@@ -113,7 +118,10 @@ fn recovery_property_holds_across_generated_sources() {
             samples.push(inst);
         }
     }
-    assert!(is_recovery_witness(&m, &rec, &samples));
+    assert_eq!(
+        is_recovery_witness(&m, &rec, &samples, &ceiling()),
+        Ok(true)
+    );
 }
 
 #[test]
@@ -137,7 +145,10 @@ fn projection_recovery_for_lossy_mapping() {
         )
         .unwrap(),
     ];
-    assert!(is_recovery_witness(&m, &rec, &samples));
+    assert_eq!(
+        is_recovery_witness(&m, &rec, &samples, &ceiling()),
+        Ok(true)
+    );
 }
 
 #[test]
