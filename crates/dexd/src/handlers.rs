@@ -25,7 +25,7 @@
 
 use crate::catalog::CatalogEntry;
 use crate::http::{Request, Response};
-use crate::json::{instance_from_json, instance_to_json};
+use crate::json::{instance_from_json, splice_instance};
 use crate::pipeline::{self, MigrateRefusal, Refused};
 use crate::server::ServerCtx;
 use dex_analyze::{analyze_with, explain_with, has_errors, sort_diagnostics};
@@ -470,16 +470,14 @@ fn chase_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
     }
     match outcome {
         Ok(ChaseOutcome::Complete(res)) => {
-            resp.insert("target".into(), instance_to_json(&res.target));
             resp.insert(
                 "stats".into(),
                 serde_json::to_value(&res.stats).unwrap_or(Json::Null),
             );
-            Response::json(200, Json::Object(resp))
+            Response::rendered(200, splice_instance(&resp, "target", &res.target))
         }
         Ok(ChaseOutcome::Exhausted(ex)) => {
             ctx.stats.note_partial();
-            resp.insert("partial".into(), instance_to_json(&ex.partial));
             resp.insert(
                 "exhausted".into(),
                 serde_json::to_value(&ex.report).unwrap_or(Json::Null),
@@ -488,7 +486,7 @@ fn chase_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
                 "stats".into(),
                 serde_json::to_value(&ex.stats).unwrap_or(Json::Null),
             );
-            Response::json(206, Json::Object(resp))
+            Response::rendered(206, splice_instance(&resp, "partial", &ex.partial))
         }
         Err(e) => {
             ctx.stats.note_error();
@@ -521,17 +519,15 @@ fn exchange_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
     let mut resp = envelope(entry, "exchange");
     match engine.forward_governed(&src, prev.as_ref(), &gov) {
         Ok(EngineForward::Complete { target, .. }) => {
-            resp.insert("target".into(), instance_to_json(&target));
-            Response::json(200, Json::Object(resp))
+            Response::rendered(200, splice_instance(&resp, "target", &target))
         }
         Ok(EngineForward::Exhausted { partial, report }) => {
             ctx.stats.note_partial();
-            resp.insert("partial".into(), instance_to_json(&partial));
             resp.insert(
                 "exhausted".into(),
                 serde_json::to_value(&report).unwrap_or(Json::Null),
             );
-            Response::json(206, Json::Object(resp))
+            Response::rendered(206, splice_instance(&resp, "partial", &partial))
         }
         Err(e) => {
             ctx.stats.note_error();
@@ -556,12 +552,9 @@ fn put_op(entry: &CatalogEntry, body: &Json) -> Response {
         Ok(s) => s,
         Err(r) => return r,
     };
-    let mut resp = envelope(entry, "put");
+    let resp = envelope(entry, "put");
     match engine.backward(&tgt, &src) {
-        Ok(new_source) => {
-            resp.insert("source".into(), instance_to_json(&new_source));
-            Response::json(200, Json::Object(resp))
-        }
+        Ok(new_source) => Response::rendered(200, splice_instance(&resp, "source", &new_source)),
         // A put the lens refuses (violated fd, unrestorable row) is a
         // client-data problem, not a server fault.
         Err(e) => Response::error(422, "put_rejected", e),

@@ -183,19 +183,26 @@ pub fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request
     Err(ReadError::Malformed("too many headers".into()))
 }
 
-/// A response about to be written: status, JSON body, and the optional
-/// `Retry-After` seconds that ride load-shedding 429s and draining
-/// 503s.
+/// A response about to be written: status, rendered JSON body
+/// (UTF-8), and the optional `Retry-After` seconds that ride
+/// load-shedding 429s and draining 503s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     pub status: u16,
-    pub body: Json,
+    pub body: Vec<u8>,
     pub retry_after: Option<u64>,
 }
 
 impl Response {
     /// A plain JSON response.
     pub fn json(status: u16, body: Json) -> Self {
+        Response::rendered(status, body.to_string().into_bytes())
+    }
+
+    /// A response whose compact JSON body is already rendered (an
+    /// instance spliced into its envelope by
+    /// [`splice_instance`](crate::json::splice_instance)).
+    pub fn rendered(status: u16, body: Vec<u8>) -> Self {
         Response {
             status,
             body,
@@ -220,23 +227,22 @@ impl Response {
         self
     }
 
-    /// Serialize and write the full response. Write errors are
+    /// Write the full response. Write errors are
     /// returned (the caller just drops the connection — there is no
     /// one left to tell).
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let body = self.body.to_string();
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason(self.status),
-            body.len(),
+            self.body.len(),
         );
         if let Some(secs) = self.retry_after {
             head.push_str(&format!("Retry-After: {secs}\r\n"));
         }
         head.push_str("\r\n");
         stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        stream.write_all(&self.body)?;
         stream.flush()
     }
 }

@@ -23,16 +23,17 @@
 //!   and remove as deltas stream through), shared by
 //!   `dex_rellens::incremental` join nodes.
 //!
-//! [`probe_ids`](IndexState::probe_ids) returns ids sorted in
-//! canonical (lexicographic row) order regardless of arena order, so
-//! index-backed enumeration is byte-identical to a filtered scan — the
-//! property the matcher's `Indexed`/`Scan` equivalence rests on where
-//! enumeration order shows. Callers to whom order does not show (an
-//! existence check, a collection the caller sorts itself) take
-//! [`probe_ids_unordered`](IndexState::probe_ids_unordered): the same
-//! ids in posting order, without the content sort. The posting lists
-//! themselves hold arena ids, not tuples: consumers on the hot path
-//! read matched positions straight out of the columns by
+//! [`Relation::probe_ids`](crate::Relation::probe_ids) returns ids
+//! sorted in canonical (lexicographic row) order regardless of arena
+//! order, so index-backed enumeration is byte-identical to a filtered
+//! scan — the property the matcher's `Indexed`/`Scan` equivalence
+//! rests on where enumeration order shows. Callers to whom order does
+//! not show (an existence check, a collection the caller sorts
+//! itself) take
+//! [`Relation::probe_ids_unordered`](crate::Relation::probe_ids_unordered):
+//! the same ids in posting order, without the content sort. The
+//! posting lists themselves hold arena ids, not tuples: consumers on
+//! the hot path read matched positions straight out of the columns by
 //! `(tuple_id, col)` and only materialize rows at the API boundary.
 //!
 //! Interior mutability: indexes are built lazily behind an `RwLock` on

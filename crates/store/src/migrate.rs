@@ -435,9 +435,12 @@ impl Migration {
             chase(&mapping, start, ctx)?
         };
         match outcome {
-            ChaseOutcome::Complete(_) => {
-                // The sink persisted the complete boundary; read it
-                // back so the caller gets exactly what is on disk.
+            ChaseOutcome::Complete(result) => {
+                // The sink persisted the complete boundary. Free the
+                // chased target, then read the boundary back so the
+                // caller gets exactly what is on disk, with one
+                // instance alive instead of two.
+                drop(result);
                 let rec = self.store.recover()?.ok_or_else(|| MigrateError::Plan {
                     detail: "completed chase left no durable snapshot".into(),
                 })?;

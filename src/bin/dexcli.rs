@@ -45,9 +45,10 @@ use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats};
 use dex::rellens::Environment;
 use dex::store::migrate::{self as store_migrate, MigrateStatus};
 use dex::store::{fsck, ChaseState, MigrateRun, Migration, Store, StoreMode, StoreOptions};
-use dexd::json::{instance_from_json, instance_to_json, value_to_json};
+use dexd::json::{instance_from_json, value_to_json, write_instance, Style};
 use dexd::pipeline::{self, MigrateRefusal, Policy, Refused};
 use serde_json::{json, Value as Json};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -201,7 +202,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let src = load_instance(args.get(3).ok_or(usage)?, m.source())?;
             let engine = build_engine(&m)?;
             let out = engine.backward(&tgt, &src).map_err(|e| e.to_string())?;
-            println!("{}", pretty(&instance_to_json(&out)));
+            print_instance(&out)?;
             Ok(ExitCode::SUCCESS)
         }
         "compose" => {
@@ -240,7 +241,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         );
                         if let Some(cx) = chk.counterexample {
                             eprintln!("counterexample source instance:");
-                            eprintln!("{}", pretty(&instance_to_json(&cx.source)));
+                            emit_instance(&cx.source, std::io::stderr().lock(), "stderr")?;
                         }
                         return Ok(ExitCode::from(EXIT_LINT));
                     }
@@ -796,7 +797,7 @@ fn finish_chase(
             } else if out.stats {
                 eprint!("{}", res.stats);
             }
-            println!("{}", pretty(&instance_to_json(&res.target)));
+            print_instance(&res.target)?;
             Ok(ExitCode::SUCCESS)
         }
         ChaseOutcome::Exhausted(ex) => {
@@ -815,7 +816,7 @@ fn finish_chase(
                     eprintln!("resume with: dexcli resume {}", dir.display());
                 }
             }
-            println!("{}", pretty(&instance_to_json(&ex.partial)));
+            print_instance(&ex.partial)?;
             Ok(ExitCode::from(EXIT_EXHAUSTED))
         }
     }
@@ -849,7 +850,7 @@ fn finish_forward(
             } else if out.stats {
                 eprint!("{stats}");
             }
-            println!("{}", pretty(&instance_to_json(&target)));
+            print_instance(&target)?;
             Ok(ExitCode::SUCCESS)
         }
         EngineForward::Exhausted { partial, report } => {
@@ -861,7 +862,7 @@ fn finish_forward(
                 eprintln!("{report}");
                 eprintln!("the instance below is a consistent partial forward result");
             }
-            println!("{}", pretty(&instance_to_json(&partial)));
+            print_instance(&partial)?;
             Ok(ExitCode::from(EXIT_EXHAUSTED))
         }
     }
@@ -935,7 +936,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
                     "store already holds a completed chase (round {})",
                     r.state.round
                 );
-                println!("{}", pretty(&instance_to_json(&r.state.instance)));
+                print_instance(&r.state.instance)?;
                 Ok(ExitCode::SUCCESS)
             }
             Some(r) => {
@@ -964,7 +965,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
             if let Some(r) = store.recover().map_err(|e| e.to_string())? {
                 if r.state.complete {
                     eprintln!("store already holds a completed exchange");
-                    println!("{}", pretty(&instance_to_json(&r.state.instance)));
+                    print_instance(&r.state.instance)?;
                     return Ok(ExitCode::SUCCESS);
                 }
             }
@@ -1400,7 +1401,7 @@ serving (dexd):
 
 exit codes:
   0   success
-  1   usage or input error
+  1   usage, input or output error (e.g. stdout closed early)
   2   lint found errors (after --deny promotion)
   3   budget exhausted — stdout holds a valid partial result
   4   mappings differ (dexcli eq) — stdout holds the counterexample witness
@@ -1592,6 +1593,22 @@ fn create_store(
         .map(|(dir, opts)| Store::create(dir, mode, mapping_text, src, *opts))
         .transpose()
         .map_err(|e| e.to_string())
+}
+
+/// Print `inst` to stdout in its pretty JSON form, with a newline.
+fn print_instance(inst: &Instance) -> Result<(), String> {
+    emit_instance(inst, std::io::stdout().lock(), "stdout")
+}
+
+/// Write `inst` and a newline to `stream` (a locked stdout or stderr)
+/// through a buffer, with no JSON tree in between. A closed or failing
+/// stream is an error (exit 1), not a panic.
+fn emit_instance(inst: &Instance, stream: impl Write, name: &str) -> Result<(), String> {
+    let mut w = BufWriter::new(stream);
+    write_instance(inst, &mut w, Style::Pretty)
+        .and_then(|()| w.write_all(b"\n"))
+        .and_then(|()| w.flush())
+        .map_err(|e| format!("writing {name}: {e}"))
 }
 
 /// Pretty-print a JSON document for stdout.

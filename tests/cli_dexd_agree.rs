@@ -71,7 +71,8 @@ fn daemon(srv: &ServerHandle, path: &str, body: &Json) -> (u16, Json) {
         body: serde_json::to_string(body).unwrap().into_bytes(),
     };
     let resp = route(&req, srv.ctx());
-    (resp.status, resp.body)
+    let body = std::str::from_utf8(&resp.body).unwrap();
+    (resp.status, serde_json::from_str(body).unwrap())
 }
 
 /// The outcome class both front ends must agree on.

@@ -6,7 +6,8 @@ mod common;
 
 use common::TempDir;
 use proptest::prelude::*;
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 fn dexcli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dexcli"))
@@ -254,6 +255,38 @@ fn exit_code_contract_covers_all_documented_codes() {
         .output()
         .unwrap();
     assert_eq!(panicked.status.code(), Some(70), "panics exit 70");
+}
+
+/// A reader that closes stdout early (`dexcli chase … | head -c 1`):
+/// the failed write is an error, exit 1, not a panic (exit 70). The
+/// output (about 1 MB) is far larger than a pipe buffer, so `dexcli`
+/// is still writing when the pipe closes.
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    let tmp = TempDir::new("closed-stdout");
+    let m = tmp.write(
+        "e17.dex",
+        b"source Emp(name);\ntarget Manager(emp, mgr);\nEmp(x) -> Manager(x, y);\n",
+    );
+    let rows: Vec<String> = (0..20_000).map(|i| format!("[\"e{i}\"]")).collect();
+    let src = tmp.write("e17.json", format!("{{\"Emp\": [{}]}}", rows.join(",")));
+    let mut child = dexcli()
+        .arg("chase")
+        .arg(&m)
+        .arg(&src)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut first = [0u8; 1];
+    stdout.read_exact(&mut first).unwrap();
+    assert_eq!(&first, b"{");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("error: writing stdout"), "stderr: {err}");
 }
 
 /// `--stats --format json` emits one machine-readable JSON object on
