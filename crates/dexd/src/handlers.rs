@@ -678,8 +678,9 @@ fn migrate_op(entry: &CatalogEntry, body: &Json, ctx: &ServerCtx) -> Response {
                 .collect(),
         ),
     );
+    let budget = plan.admitted.budget;
     match plan.begin(&dir, opts) {
-        Ok(mig) => run_staged(mig, resp, run, plan.admitted.budget, ctx),
+        Ok(mig) => run_staged(mig, resp, run, budget, ctx),
         Err(e) => Response::error(500, "store", e),
     }
 }

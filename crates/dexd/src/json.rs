@@ -6,8 +6,10 @@
 //!
 //! Output has one writer, [`write_instance`], which streams straight
 //! from the relations to an [`io::Write`] in either [`Style`]; no
-//! [`Json`] tree is built. [`splice_instance`] renders a dexd response
-//! envelope with the compact bytes at the instance key's place.
+//! [`Json`] tree is built. [`write_rows`] writes a bare array of rows
+//! (query answers) by the same layout rules. [`splice_instance`]
+//! renders a dexd response envelope with the compact bytes at the
+//! instance key's place.
 //! [`instance_to_json`] builds the tree form, byte-for-byte the same
 //! once rendered, for callers that want a [`Json`] value.
 
@@ -87,22 +89,31 @@ pub fn write_instance<W: Write + ?Sized>(
     for rel in inst.relations().filter(|r| !r.is_empty()) {
         w.item(n, 1)?;
         w.key(rel.name().as_str())?;
-        w.out.write_all(b"[")?;
-        let ids = rel.row_ids();
         let arity = rel.schema().arity();
-        for (i, &id) in ids.iter().enumerate() {
-            w.item(i, 2)?;
-            w.out.write_all(b"[")?;
-            for col in 0..arity {
-                w.item(col, 3)?;
-                w.value(rel.value_at(id, col), 3)?;
-            }
-            w.close(arity, 2, b"]")?;
-        }
-        w.close(ids.len(), 1, b"]")?;
+        let ids = rel.row_ids();
+        let rows = ids
+            .iter()
+            .map(|&id| (0..arity).map(move |col| rel.value_at(id, col)));
+        w.rows(rows, 1)?;
         n += 1;
     }
     w.close(n, 0, b"}")
+}
+
+/// Write `rows` as a JSON array of rows, each an array of cells, in the
+/// given order: the bytes of the rendered
+/// `Json::Array(rows.map(|t| Json::Array(t.map(value_to_json))))`, as
+/// `dexcli query` prints its answers. No trailing newline.
+pub fn write_rows<'v, W: Write + ?Sized>(
+    rows: impl IntoIterator<Item = &'v Tuple>,
+    out: &mut W,
+    style: Style,
+) -> io::Result<()> {
+    let mut w = Writer {
+        out,
+        pretty: style == Style::Pretty,
+    };
+    w.rows(rows.into_iter().map(|t| t.iter()), 0)
 }
 
 /// Render a dexd response body: the compact form of `envelope` with
@@ -181,6 +192,29 @@ impl<W: Write + ?Sized> Writer<'_, W> {
     fn key(&mut self, k: &str) -> io::Result<()> {
         write_str(self.out, k)?;
         self.out.write_all(if self.pretty { b": " } else { b":" })
+    }
+
+    /// An array of rows, each an array of cells, opening at `level`.
+    fn rows<'v, R: IntoIterator<Item = &'v Value>>(
+        &mut self,
+        rows: impl IntoIterator<Item = R>,
+        level: usize,
+    ) -> io::Result<()> {
+        self.out.write_all(b"[")?;
+        let mut n = 0;
+        for row in rows {
+            self.item(n, level + 1)?;
+            self.out.write_all(b"[")?;
+            let mut k = 0;
+            for v in row {
+                self.item(k, level + 2)?;
+                self.value(v, level + 2)?;
+                k += 1;
+            }
+            self.close(k, level + 1, b"]")?;
+            n += 1;
+        }
+        self.close(n, level, b"]")
     }
 
     /// One cell, at `level`: the layout of [`value_to_json`]'s tree.

@@ -23,7 +23,7 @@ use dex_chase::{
     DEFAULT_MAX_ROUNDS,
 };
 use dex_evolution::{
-    compile_migration_checked, diff, prefix_instance, render_mapping_dex, render_schema_dex,
+    compile_migration_checked, diff, into_prefixed, render_mapping_dex, render_schema_dex,
     Catalog as EvCatalog, EvolutionError, Migration as CompiledMigration,
 };
 use dex_logic::{parse_mapping, Mapping};
@@ -246,8 +246,9 @@ pub fn plan_migration(
         .map_err(MigrateRefusal::CannotMigrate)?;
 
     // Admission against the *actual* stored data and the *compiled
-    // migration* mapping.
-    let input = prefix_instance(&state.instance, 0).map_err(MigrateRefusal::Prefix)?;
+    // migration* mapping. The input takes the recovered relations over
+    // by value: the store is decoded once, and nothing is copied.
+    let input = into_prefixed(state.instance, 0).map_err(MigrateRefusal::Prefix)?;
     let admitted = policy
         .admit(&migration.mapping, &input, requested)
         .map_err(MigrateRefusal::Admission)?;
@@ -261,13 +262,15 @@ pub fn plan_migration(
 
 impl MigrationPlan {
     /// Stage the migration under `dir`: from here on it is durable and
-    /// resumable, and the live store is untouched until commit.
-    pub fn begin(&self, dir: &Path, opts: StoreOptions) -> Result<Migration, MigrateError> {
+    /// resumable, and the live store is untouched until commit. The
+    /// input moves into the migration, whose first run chases it
+    /// without reading the staged copy back.
+    pub fn begin(self, dir: &Path, opts: StoreOptions) -> Result<Migration, MigrateError> {
         let plan = MigratePlan {
             schema_text: render_schema_dex(&self.new_schema),
             mapping_text: render_mapping_dex(&self.migration.mapping),
         };
-        Migration::begin(dir, &plan, &self.input, opts)
+        Migration::begin_owned(dir, &plan, self.input, opts)
     }
 }
 

@@ -9,7 +9,9 @@ mod common;
 
 use common::{request, TempDir, COPY, EMPLOYEES};
 use dex_relational::{Instance, Name, RelSchema, Schema, Tuple, Value};
-use dexd::json::{instance_to_json, splice_instance, write_instance, Style};
+use dexd::json::{
+    instance_to_json, splice_instance, value_to_json, write_instance, write_rows, Style,
+};
 use dexd::{Catalog, ServerConfig, ServerHandle};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -150,6 +152,26 @@ proptest! {
             serde_json::to_string_pretty(&tree).unwrap()
         );
         prop_assert_eq!(written(&inst, Style::Compact), tree.to_string());
+    }
+
+    /// `dexcli query`'s answers: every row of every relation, in
+    /// order, as one array of rows.
+    #[test]
+    fn row_writer_matches_the_rendered_array(inst in instance()) {
+        let rows: Vec<Tuple> = inst.relations().flat_map(|r| r.iter()).collect();
+        let tree = Json::Array(
+            rows.iter()
+                .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
+                .collect(),
+        );
+        for (style, want) in [
+            (Style::Pretty, serde_json::to_string_pretty(&tree).unwrap()),
+            (Style::Compact, tree.to_string()),
+        ] {
+            let mut out = Vec::new();
+            write_rows(&rows, &mut out, style).unwrap();
+            prop_assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
     }
 
     #[test]

@@ -45,14 +45,26 @@ pub fn prefix_schema(schema: &Schema, k: usize) -> Result<Schema, EvolutionError
 
 /// Copy `inst` onto the version-`k` renaming of its schema (tuples,
 /// nulls and all) — the form the migration mapping's source expects.
+/// [`into_prefixed`] of a clone.
 pub fn prefix_instance(inst: &Instance, k: usize) -> Result<Instance, EvolutionError> {
+    into_prefixed(inst.clone(), k)
+}
+
+/// [`prefix_instance`] by value: each relation moves onto its
+/// version-`k` name with its rows in place, so nothing is copied or
+/// re-inserted.
+pub fn into_prefixed(inst: Instance, k: usize) -> Result<Instance, EvolutionError> {
     let schema = prefix_schema(inst.schema(), k)?;
-    let mut out = Instance::empty(schema);
-    for (rel, tuple) in inst.facts() {
-        out.insert(prefixed_name(rel, k).as_str(), tuple.clone())
-            .map_err(EvolutionError::Relational)?;
-    }
-    Ok(out)
+    let rels = inst
+        .into_relations()
+        .map(|r| {
+            let name = prefixed_name(r.name(), k);
+            let decl = r.schema().clone().renamed(name);
+            r.with_schema(decl)
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(EvolutionError::Relational)?;
+    Instance::from_relations(schema, rels).map_err(EvolutionError::Relational)
 }
 
 /// Variables `x0..x{n-1}`.

@@ -34,8 +34,8 @@ pub mod smo;
 pub use catalog::{CatColumn, CatTable, Catalog, ColumnId, TableId};
 pub use channel::{propagate, propagate_all};
 pub use compile::{
-    compile_migration, compile_migration_checked, prefix_instance, prefix_schema, version_prefix,
-    Migration,
+    compile_migration, compile_migration_checked, into_prefixed, prefix_instance, prefix_schema,
+    version_prefix, Migration,
 };
 pub use dex_logic::{render_mapping_dex, render_schema_dex};
 pub use diff::diff;

@@ -208,6 +208,54 @@ impl ColumnStore {
         Some(id)
     }
 
+    /// Append `rows` rows given column-major (`columns[c][r]` is row
+    /// `r`'s value at position `c`), moving the values into the arena.
+    /// A row equal to a live row, or to an earlier row of the batch,
+    /// does not join the live set, as [`ColumnStore::push`] would not
+    /// insert it. Returns how many rows were added.
+    pub fn extend_columns(&mut self, rows: usize, columns: Vec<Vec<Value>>) -> usize {
+        assert!(
+            columns.len() == self.arity && columns.iter().all(|c| c.len() == rows),
+            "extend_columns: a {rows}-row batch of arity {} needs {} columns of {rows} values",
+            self.arity,
+            self.arity
+        );
+        for (dst, src) in self.columns.iter_mut().zip(columns) {
+            if dst.is_empty() {
+                *dst = src;
+            } else {
+                dst.extend(src);
+            }
+        }
+        let base = self.rows;
+        self.rows += rows;
+        self.live.resize(self.rows, true);
+        self.hashes.reserve(rows);
+        self.dedup.reserve(rows);
+        let mut added = 0;
+        for id in base as TupleId..self.rows as TupleId {
+            let h = hash_values(self.columns.iter().map(|c| &c[id as usize]));
+            self.hashes.push(h);
+            let seen = self.dedup.get(&h).is_some_and(|ids| {
+                ids.iter()
+                    .any(|&other| self.row_cmp(other, id) == Ordering::Equal)
+            });
+            if seen {
+                // Only a malformed batch repeats a row; the copy stays
+                // in the arena as a tombstone.
+                self.live[id as usize] = false;
+                self.dead += 1;
+            } else {
+                self.dedup.entry(h).or_default().push(id);
+                added += 1;
+            }
+        }
+        if rows > 0 {
+            self.version += 1;
+        }
+        added
+    }
+
     /// Tombstone the live row equal to `t`. Returns its id if present.
     /// The row's values stay readable; its id is never reused.
     pub fn remove(&mut self, t: &Tuple) -> Option<TupleId> {

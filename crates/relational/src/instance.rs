@@ -63,6 +63,37 @@ impl Instance {
         Ok(inst)
     }
 
+    /// Assemble an instance of `schema` from whole relations, moving
+    /// their rows rather than copying them. Each relation must carry
+    /// exactly the schema's declaration of its name; relations the
+    /// schema declares but `relations` lacks start empty.
+    pub fn from_relations(
+        schema: Schema,
+        relations: impl IntoIterator<Item = Relation>,
+    ) -> Result<Self, RelationalError> {
+        let mut inst = Instance::empty(schema);
+        for rel in relations {
+            match inst.schema.relation(rel.name().as_str()) {
+                Some(decl) if decl == rel.schema() => {}
+                _ => {
+                    return Err(RelationalError::SchemaMismatch {
+                        context: format!(
+                            "from_relations: `{}` is not declared as given",
+                            rel.name()
+                        ),
+                    })
+                }
+            }
+            inst.relations.insert(rel.name().clone(), rel);
+        }
+        Ok(inst)
+    }
+
+    /// The relations, by value, in name order.
+    pub fn into_relations(self) -> impl Iterator<Item = Relation> {
+        self.relations.into_values()
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -209,6 +209,61 @@ impl Relation {
         self.extend_impl(tuples, true)
     }
 
+    /// Bulk load `rows` rows given column-major (`columns[c][r]` is row
+    /// `r`'s value for attribute `c`), moving the values into the
+    /// store: no per-row [`Tuple`], no clone. Every value is checked
+    /// against its attribute's type first; the error names the same
+    /// value [`extend_validated`](Relation::extend_validated) would
+    /// (the first failing row, then its first failing attribute), and
+    /// on error the relation is unchanged. Duplicate rows are dropped.
+    /// Returns the number of rows that were new.
+    ///
+    /// # Panics
+    ///
+    /// If a column does not hold exactly `rows` values.
+    pub fn extend_columns(
+        &mut self,
+        rows: usize,
+        columns: Vec<Vec<Value>>,
+    ) -> Result<usize, RelationalError> {
+        if columns.len() != self.schema.arity() {
+            return Err(RelationalError::ArityMismatch {
+                relation: self.name().clone(),
+                expected: self.schema.arity(),
+                actual: columns.len(),
+            });
+        }
+        self.validate_columns(&columns)?;
+        let before = self.store.version();
+        let added = self.store.extend_columns(rows, columns);
+        if self.store.version() != before {
+            self.index.note_append(self.store.version());
+        }
+        Ok(added)
+    }
+
+    /// Type-check column-major values. The first failing row wins,
+    /// then its first failing attribute — the order in which
+    /// [`validate`](Relation::validate) would meet them row by row.
+    pub fn validate_columns(&self, columns: &[Vec<Value>]) -> Result<(), RelationalError> {
+        let first_bad = self
+            .schema
+            .attrs()
+            .iter()
+            .zip(columns)
+            .enumerate()
+            .filter_map(|(c, ((_, ty), col))| Some((col.iter().position(|v| !ty.admits(v))?, c)))
+            .min();
+        match first_bad {
+            None => Ok(()),
+            Some((r, c)) => Err(RelationalError::TypeMismatch {
+                relation: self.name().clone(),
+                attribute: self.schema.attrs()[c].0.clone(),
+                value: columns[c][r].to_string(),
+            }),
+        }
+    }
+
     fn extend_impl(
         &mut self,
         tuples: impl IntoIterator<Item = Tuple>,
@@ -728,6 +783,79 @@ mod tests {
         );
         assert_eq!(r.extend_validated_delta(vec![tuple![3i64]]).unwrap(), 1);
         assert_eq!(r.drain_delta(), vec![tuple![3i64]]);
+    }
+
+    /// Column-major form of `rows` (each of width `arity`).
+    fn columns(arity: usize, rows: &[Tuple]) -> Vec<Vec<Value>> {
+        (0..arity)
+            .map(|c| rows.iter().map(|t| t[c].clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn extend_columns_equals_extend_validated() {
+        let s = RelSchema::untyped("P", vec!["k", "v"]).unwrap();
+        // Duplicates inside the batch and against rows already stored.
+        let first = vec![tuple!["b", 2i64], tuple!["a", 1i64]];
+        let batch = vec![
+            tuple!["c", 3i64],
+            tuple!["a", 1i64],
+            tuple!["d", Value::null(4)],
+            tuple!["c", 3i64],
+            tuple!["e", 5i64],
+        ];
+        let mut want = Relation::from_tuples(s.clone(), first.clone()).unwrap();
+        let mut got = Relation::from_tuples(s, first).unwrap();
+        assert_eq!(
+            got.probe_ids(0, &Value::str("a")).len(),
+            1,
+            "warms the index"
+        );
+        assert_eq!(
+            got.extend_columns(batch.len(), columns(2, &batch)).unwrap(),
+            want.extend_validated(batch).unwrap()
+        );
+        assert_eq!(got, want);
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
+        );
+        // The dedup map and a warm index both saw the new rows.
+        assert!(got.contains(&tuple!["e", 5i64]));
+        assert!(!got.insert(tuple!["d", Value::null(4)]).unwrap());
+        assert_eq!(got.probe_ids(0, &Value::str("c")).len(), 1);
+    }
+
+    #[test]
+    fn extend_columns_of_zero_arity_keeps_one_row() {
+        let s = RelSchema::untyped("Z", Vec::<&str>::new()).unwrap();
+        let mut r = Relation::empty(s);
+        assert_eq!(r.extend_columns(3, Vec::new()).unwrap(), 1);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.extend_columns(1, Vec::new()).unwrap(), 0);
+    }
+
+    #[test]
+    fn extend_columns_names_the_value_extend_validated_names() {
+        let s = RelSchema::new("R", vec![("n", AttrType::Int), ("s", AttrType::Str)]).unwrap();
+        // Row 1 fails on `s`, row 2 on `n`: row order wins over
+        // column order, and within a row the first attribute wins.
+        for rows in [
+            vec![tuple![1i64, "a"], tuple![2i64, 7i64], tuple!["x", "c"]],
+            vec![tuple![1i64, "a"], tuple!["x", 7i64], tuple![3i64, 8i64]],
+        ] {
+            let want = Relation::empty(s.clone())
+                .extend_validated(rows.clone())
+                .unwrap_err();
+            let mut r = Relation::empty(s.clone());
+            let got = r.extend_columns(rows.len(), columns(2, &rows)).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string());
+            assert!(r.is_empty(), "a failing batch loads nothing");
+        }
+        let err = Relation::empty(s)
+            .extend_columns(0, vec![Vec::new()])
+            .unwrap_err();
+        assert!(matches!(err, RelationalError::ArityMismatch { .. }));
     }
 
     #[test]

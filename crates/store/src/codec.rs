@@ -11,8 +11,10 @@
 
 use crate::error::StoreError;
 use dex_relational::{
-    AttrType, Constant, Fd, Instance, Name, RelSchema, Relation, Schema, Tuple, Value,
+    AttrType, Constant, Fd, Instance, Name, RelSchema, Relation, RelationalError, Schema, Tuple,
+    Value,
 };
+use std::cell::Cell;
 
 const TAG_BOOL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -166,6 +168,26 @@ impl Encoder {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
+
+thread_local! {
+    static INSTANCE_DECODES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whole instances decoded on this thread so far (snapshots, source
+/// files, full WAL records). Thread-local, so concurrent tests each
+/// count their own decodes; read it before and after a call to see how
+/// many instances the call decoded.
+pub fn instance_decodes() -> u64 {
+    INSTANCE_DECODES.with(Cell::get)
+}
+
+/// Column-major tuples of one relation, as decoded.
+struct Rows {
+    columns: Vec<Vec<Value>>,
+    len: usize,
+    /// Width of the first tuple that did not match the relation.
+    bad_arity: Option<usize>,
+}
 
 /// Bounds-checked reader over an untrusted byte buffer. `file` labels
 /// corruption errors with their origin.
@@ -325,25 +347,66 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode a whole instance, validating every tuple against the
-    /// decoded schema (arity and attribute types).
+    /// decoded schema (arity and attribute types). Rows decode straight
+    /// into per-attribute columns that move into the relation's store.
     pub fn get_instance(&mut self) -> Result<Instance, StoreError> {
+        INSTANCE_DECODES.with(|n| n.set(n.get() + 1));
         let schema = self.get_schema()?;
         let mut inst = Instance::empty(schema);
         let nrels = self.get_count("populated relation")?;
         for _ in 0..nrels {
             let name = self.get_name("populated relation name")?;
             let count = self.get_count("tuple")?;
-            let mut tuples = Vec::with_capacity(count);
-            for _ in 0..count {
-                tuples.push(self.get_tuple()?);
-            }
+            let arity = inst.schema().relation(name.as_str()).map(RelSchema::arity);
+            let rows = self.get_rows(arity, count)?;
             let rel = inst
                 .relation_mut(name.as_str())
                 .ok_or_else(|| self.corrupt(format!("tuples for unknown relation `{name}`")))?;
-            rel.extend_validated(tuples)
-                .map_err(|e| self.corrupt(format!("invalid tuple in `{name}`: {e}")))?;
+            let loaded = match rows.bad_arity {
+                None => rel.extend_columns(rows.len, rows.columns).map(drop),
+                // The rows before the first one of the wrong width are
+                // checked first, as `validate` would meet them.
+                Some(actual) => rel.validate_columns(&rows.columns).and_then(|()| {
+                    Err(RelationalError::ArityMismatch {
+                        relation: name.clone(),
+                        expected: rel.schema().arity(),
+                        actual,
+                    })
+                }),
+            };
+            loaded.map_err(|e| self.corrupt(format!("invalid tuple in `{name}`: {e}")))?;
         }
         Ok(inst)
+    }
+
+    /// Decode `count` tuples into `arity` columns. Every tuple is
+    /// decoded, but columns stop growing at the first tuple whose width
+    /// is not `arity` (or at the first tuple at all when the relation
+    /// is unknown, `arity` `None`).
+    fn get_rows(&mut self, arity: Option<usize>, count: usize) -> Result<Rows, StoreError> {
+        let width = arity.unwrap_or(0);
+        // A tuple takes at least its 4-byte arity plus 2 bytes a value.
+        let cap = count.min(self.remaining() / (4 + 2 * width));
+        let mut rows = Rows {
+            columns: (0..width).map(|_| Vec::with_capacity(cap)).collect(),
+            len: 0,
+            bad_arity: None,
+        };
+        for _ in 0..count {
+            let n = self.get_count("tuple arity")?;
+            if rows.bad_arity.is_none() && arity == Some(n) {
+                for col in &mut rows.columns {
+                    col.push(self.get_value()?);
+                }
+                rows.len += 1;
+            } else {
+                rows.bad_arity.get_or_insert(n);
+                for _ in 0..n {
+                    self.get_value()?;
+                }
+            }
+        }
+        Ok(rows)
     }
 
     /// Assert the buffer is fully consumed (no trailing garbage).
@@ -431,6 +494,45 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes, "test");
         assert!(matches!(d.get_schema(), Err(StoreError::Corrupt { .. })));
+    }
+
+    /// An instance payload whose one relation, `R(n: Int, s: Str)`,
+    /// holds `rows`, each encoded at its own width.
+    fn crafted(rel: &RelSchema, rows: &[Tuple]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_schema(&Schema::with_relations(vec![rel.clone()]).expect("schema"));
+        e.put_u32(1);
+        e.put_str("R");
+        e.put_u32(rows.len() as u32);
+        for t in rows {
+            e.put_tuple(t);
+        }
+        e.into_bytes()
+    }
+
+    #[test]
+    fn decoded_rows_are_judged_as_extend_validated_judges_them() {
+        let rel =
+            RelSchema::new("R", vec![("n", AttrType::Int), ("s", AttrType::Str)]).expect("schema");
+        for rows in [
+            // A bad type before a bad width, and the other way round.
+            vec![tuple![1i64, "a"], tuple!["x", "b"], tuple![2i64]],
+            vec![tuple![1i64, "a"], tuple![2i64], tuple!["x", "b"]],
+            // A duplicate row is dropped, not an error.
+            vec![tuple![1i64, "a"], tuple![2i64, "b"], tuple![1i64, "a"]],
+        ] {
+            let want = Relation::empty(rel.clone()).extend_validated(rows.clone());
+            let before = instance_decodes();
+            let got = decode_instance(&crafted(&rel, &rows), "test");
+            assert_eq!(instance_decodes(), before + 1);
+            match (want, got) {
+                (Ok(n), Ok(inst)) => assert_eq!(inst.fact_count(), n),
+                (Err(w), Err(StoreError::Corrupt { what, .. })) => {
+                    assert_eq!(what, format!("invalid tuple in `R`: {w}"))
+                }
+                (want, got) => panic!("{rows:?}: want {want:?}, got {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::path::Path;
 use crate::error::StoreError;
 use crate::migrate::{self, MigrateStatus};
 use crate::snapshot::{self, SNAPSHOT_FILE};
-use crate::store::{Store, StoreOptions, META_FILE, SOURCE_FILE, WAL_FILE};
+use crate::store::{read_meta, read_source, META_FILE, SOURCE_FILE, WAL_FILE};
 use crate::wal;
 
 /// What fsck found in `snapshot.bin`.
@@ -122,13 +122,13 @@ impl fmt::Display for FsckReport {
     }
 }
 
-/// Verify every file in the store at `dir`. Read-only.
+/// Verify every file in the store at `dir`. Read-only. Each file is
+/// read and verified once, and judged by its own read alone.
 ///
 /// Errors only when `dir` is not a store at all; everything else is
 /// reported through [`FsckReport::problems`].
 pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
-    // Store::open validates the meta framing; NotAStore passes through.
-    let meta_ok = match Store::open(dir, StoreOptions::default()) {
+    let meta_ok = match read_meta(dir) {
         Ok(_) => true,
         Err(e @ StoreError::NotAStore { .. }) => return Err(e),
         Err(_) => false,
@@ -138,9 +138,7 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
         problems.push(format!("{META_FILE} does not verify"));
     }
 
-    let source_ok = Store::open(dir, StoreOptions::default())
-        .and_then(|s| s.source())
-        .is_ok();
+    let source_ok = read_source(dir).is_ok();
     if !source_ok {
         problems.push(format!("{SOURCE_FILE} missing or does not verify"));
     }

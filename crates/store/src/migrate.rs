@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use crate::blob;
 use crate::codec::{Decoder, Encoder};
 use crate::error::StoreError;
-use crate::snapshot::{self, ChaseState, SNAPSHOT_FILE};
+use crate::snapshot::{self, ChaseState, SnapshotHeader, SNAPSHOT_FILE};
 use crate::store::{
     write_file_faulted, write_plain, Recovered, Store, StoreMode, StoreOptions, META_FILE,
     META_MAGIC, SOURCE_FILE, SOURCE_MAGIC, WAL_FILE,
@@ -254,9 +254,9 @@ pub fn status(dir: &Path) -> Result<MigrateStatus, StoreError> {
         }
     }
     if round.is_none() {
-        if let Ok(Some(s)) = snapshot::read(&staging.join(STAGE_STORE_DIR)) {
-            round = Some(s.round);
-            chase_complete = s.complete;
+        if let Ok(Some(h)) = snapshot::read_header(&staging.join(STAGE_STORE_DIR)) {
+            round = Some(h.round);
+            chase_complete = h.complete;
         }
     }
     Ok(MigrateStatus::InProgress {
@@ -298,6 +298,10 @@ pub struct Migration {
     plan: MigratePlan,
     store: Store,
     opts: StoreOptions,
+    /// The staged source, when the caller handed it over by value: the
+    /// first [`Migration::run`] chases it instead of decoding
+    /// `source.bin` back.
+    source: Option<Instance>,
 }
 
 impl Migration {
@@ -309,6 +313,9 @@ impl Migration {
     /// ([`StoreError::MigrationInProgress`]) — resume or abort it
     /// first. Wreckage from a crash *before* anything became durable
     /// (a torn `plan.bin`, no chase data) is silently cleared.
+    ///
+    /// [`Migration::run`] reads the source back from `source.bin`;
+    /// [`Migration::begin_owned`] keeps it in memory instead.
     pub fn begin(
         dir: &Path,
         plan: &MigratePlan,
@@ -354,7 +361,22 @@ impl Migration {
             plan: plan.clone(),
             store,
             opts,
+            source: None,
         })
+    }
+
+    /// [`Migration::begin`], keeping `source` for the first
+    /// [`Migration::run`], which then chases it without decoding the
+    /// staged `source.bin` back.
+    pub fn begin_owned(
+        dir: &Path,
+        plan: &MigratePlan,
+        source: Instance,
+        opts: StoreOptions,
+    ) -> Result<Migration, MigrateError> {
+        let mut mig = Migration::begin(dir, plan, &source, opts)?;
+        mig.source = Some(source);
+        Ok(mig)
     }
 
     /// Reattach to the staged migration at `dir` (after a crash, a
@@ -379,6 +401,7 @@ impl Migration {
             plan,
             store,
             opts,
+            source: None,
         })
     }
 
@@ -407,45 +430,47 @@ impl Migration {
             dex_logic::parse_mapping(&self.plan.mapping_text).map_err(|e| MigrateError::Plan {
                 detail: format!("migration mapping does not parse: {e}"),
             })?;
-        // The block drops a fresh run's source before the read-back
-        // below loads a second instance.
-        let outcome = {
-            let src;
-            let start = match self.store.recover()? {
-                Some(r) if r.state.complete => return Ok(MigrateRun::Done(r.state)),
-                Some(r) => {
-                    self.store.prepare_resume(&r.state)?;
-                    Start::Resume(r.state.into())
-                }
-                None => {
-                    src = self.store.source()?;
-                    Start::Fresh(&src)
-                }
-            };
-            let mut sink = MigrateSink {
-                store: &mut self.store,
-                staging: &self.staging,
-                sync: self.opts.sync,
-            };
-            let ctx = RunContext {
-                gov,
-                opts,
-                sink: Some(&mut sink),
-            };
-            chase(&mapping, start, ctx)?
-        };
-        match outcome {
-            ChaseOutcome::Complete(result) => {
-                // The sink persisted the complete boundary. Free the
-                // chased target, then read the boundary back so the
-                // caller gets exactly what is on disk, with one
-                // instance alive instead of two.
-                drop(result);
-                let rec = self.store.recover()?.ok_or_else(|| MigrateError::Plan {
-                    detail: "completed chase left no durable snapshot".into(),
-                })?;
-                Ok(MigrateRun::Done(rec.state))
+        let held = self.source.take();
+        let src;
+        let start = match self.store.recover()? {
+            Some(r) if r.state.complete => return Ok(MigrateRun::Done(r.state)),
+            Some(r) => {
+                self.store.prepare_resume(&r.state)?;
+                Start::Resume(r.state.into())
             }
+            None => {
+                src = match held {
+                    Some(s) => s,
+                    None => self.store.source()?,
+                };
+                Start::Fresh(&src)
+            }
+        };
+        let mut sink = MigrateSink {
+            store: &mut self.store,
+            staging: &self.staging,
+            sync: self.opts.sync,
+            last: None,
+        };
+        let ctx = RunContext {
+            gov,
+            opts,
+            sink: Some(&mut sink),
+        };
+        match chase(&mapping, start, ctx)? {
+            // The sink made the complete boundary durable; the chased
+            // target is that boundary, so nothing is read back.
+            ChaseOutcome::Complete(result) => match sink.last {
+                Some(b) if b.complete => Ok(MigrateRun::Done(ChaseState {
+                    instance: result.target,
+                    round: b.round,
+                    next_null: b.next_null,
+                    complete: true,
+                })),
+                _ => Err(MigrateError::Plan {
+                    detail: "completed chase left no durable snapshot".into(),
+                }),
+            },
             ChaseOutcome::Exhausted(e) => Ok(MigrateRun::Suspended(e.report)),
         }
     }
@@ -459,16 +484,24 @@ impl Migration {
         if commit_verifies(&self.staging) {
             return Ok(());
         }
-        let rec = self
-            .store
-            .recover()?
-            .ok_or(MigrateError::Incomplete { round: 0 })?;
-        if !rec.state.complete {
-            return Err(MigrateError::Incomplete {
-                round: rec.state.round,
-            });
-        }
-        let state = rec.state;
+        // A complete boundary is always a snapshot, and nothing is
+        // logged past it, so the staged snapshot is the migrated state:
+        // verify it, read its schema, and copy its bytes.
+        let complete = match snapshot::read_bytes(self.store.dir())? {
+            Some(bytes) => {
+                let (header, mut d) = snapshot::open_payload(&bytes, SNAPSHOT_FILE)?;
+                if header.complete {
+                    Some((header.round, d.get_schema()?, bytes))
+                } else {
+                    None
+                }
+            }
+            None => None,
+        };
+        let Some((round, schema, snapshot_bytes)) = complete else {
+            let round = self.store.recover()?.map_or(0, |r| r.state.round);
+            return Err(MigrateError::Incomplete { round });
+        };
 
         let next = self.staging.join(NEXT_DIR);
         fs::create_dir_all(&next).map_err(StoreError::io(format!("create {NEXT_DIR}/")))?;
@@ -485,18 +518,14 @@ impl Migration {
         // The migrated data lives in the (complete) snapshot; the new
         // store's "source" is an empty instance over the new schema.
         let mut e = Encoder::new();
-        e.put_instance(&Instance::empty(state.instance.schema().clone()));
+        e.put_instance(&Instance::empty(schema));
         write_plain(
             &next.join(SOURCE_FILE),
             &blob::frame(SOURCE_MAGIC, &e.into_bytes()),
             self.opts.sync,
         )?;
 
-        write_plain(
-            &next.join(SNAPSHOT_FILE),
-            &snapshot::encode(&state),
-            self.opts.sync,
-        )?;
+        write_plain(&next.join(SNAPSHOT_FILE), &snapshot_bytes, self.opts.sync)?;
         write_plain(&next.join(WAL_FILE), &wal::header_bytes(), self.opts.sync)?;
         if self.opts.sync {
             snapshot::sync_dir(&next)?;
@@ -505,7 +534,7 @@ impl Migration {
         write_file_faulted(
             &self.staging.join(COMMIT_FILE),
             "migrate.finalize",
-            &encode_commit(state.round),
+            &encode_commit(round),
             self.opts.sync,
         )?;
         if self.opts.sync {
@@ -531,6 +560,8 @@ struct MigrateSink<'a> {
     store: &'a mut Store,
     staging: &'a Path,
     sync: bool,
+    /// The last boundary made durable.
+    last: Option<SnapshotHeader>,
 }
 
 impl CheckpointSink for MigrateSink<'_> {
@@ -538,6 +569,11 @@ impl CheckpointSink for MigrateSink<'_> {
         self.store
             .record_checkpoint(&cp)
             .map_err(|e| e.to_string())?;
+        self.last = Some(SnapshotHeader {
+            round: cp.round,
+            next_null: cp.next_null,
+            complete: cp.complete,
+        });
         write_file_faulted(
             &self.staging.join(PROGRESS_FILE),
             "migrate.round_commit",

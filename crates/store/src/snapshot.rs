@@ -87,20 +87,48 @@ fn encode_view(state: StateView<'_>) -> Vec<u8> {
     blob::frame(SNAPSHOT_MAGIC, &e.into_bytes())
 }
 
-/// Decode framed snapshot bytes.
-pub fn decode(bytes: &[u8], file: &str) -> Result<ChaseState, StoreError> {
+/// The fixed fields that open a snapshot's payload: everything but
+/// the instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SnapshotHeader {
+    /// Committed rounds at this boundary.
+    pub round: u64,
+    /// Null-generator position at this boundary.
+    pub next_null: u64,
+    /// Whether the chase reached fixpoint.
+    pub complete: bool,
+}
+
+/// Verify framed snapshot bytes end to end (magic, version, length,
+/// and the checksum over the whole payload) and read the header. The
+/// returned decoder stands at the instance, which is not decoded.
+pub(crate) fn open_payload<'a>(
+    bytes: &'a [u8],
+    file: &'a str,
+) -> Result<(SnapshotHeader, Decoder<'a>), StoreError> {
     let payload = blob::unframe(SNAPSHOT_MAGIC, bytes, file)?;
     let mut d = Decoder::new(payload, file);
     let flags = d.get_u8("snapshot flags")?;
     let round = d.get_u64("snapshot round")?;
     let next_null = d.get_u64("snapshot next_null")?;
+    let header = SnapshotHeader {
+        round,
+        next_null,
+        complete: flags & FLAG_COMPLETE != 0,
+    };
+    Ok((header, d))
+}
+
+/// Decode framed snapshot bytes.
+pub fn decode(bytes: &[u8], file: &str) -> Result<ChaseState, StoreError> {
+    let (header, mut d) = open_payload(bytes, file)?;
     let instance = d.get_instance()?;
     d.finish()?;
     Ok(ChaseState {
         instance,
-        round,
-        next_null,
-        complete: flags & FLAG_COMPLETE != 0,
+        round: header.round,
+        next_null: header.next_null,
+        complete: header.complete,
     })
 }
 
@@ -145,13 +173,27 @@ pub(crate) fn write_view(dir: &Path, state: StateView<'_>, sync: bool) -> Result
 /// snapshot is an error, not `None` — recovery must not silently
 /// restart from scratch when durable state existed.
 pub fn read(dir: &Path) -> Result<Option<ChaseState>, StoreError> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(StoreError::io(format!("read {SNAPSHOT_FILE}"))(e)),
-    };
-    decode(&bytes, SNAPSHOT_FILE).map(Some)
+    read_bytes(dir)?
+        .map(|bytes| decode(&bytes, SNAPSHOT_FILE))
+        .transpose()
+}
+
+/// Read and verify the snapshot in `dir` without decoding its
+/// instance: the checksum still covers the whole file, so a corrupt
+/// snapshot is an error here just as in [`read`].
+pub(crate) fn read_header(dir: &Path) -> Result<Option<SnapshotHeader>, StoreError> {
+    read_bytes(dir)?
+        .map(|bytes| open_payload(&bytes, SNAPSHOT_FILE).map(|(header, _)| header))
+        .transpose()
+}
+
+/// The bytes of the snapshot in `dir`, `None` when there is none.
+pub(crate) fn read_bytes(dir: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+    match fs::read(dir.join(SNAPSHOT_FILE)) {
+        Ok(b) => Ok(Some(b)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(StoreError::io(format!("read {SNAPSHOT_FILE}"))(e)),
+    }
 }
 
 /// fsync a directory so a rename within it is durable.
@@ -207,7 +249,33 @@ mod tests {
     fn missing_snapshot_is_none_but_corrupt_is_an_error() {
         let dir = TempDir::new("snap_missing");
         assert!(read(&dir).expect("read").is_none());
+        assert!(read_header(&dir).expect("read").is_none());
         std::fs::write(dir.join(SNAPSHOT_FILE), b"garbage").expect("write");
         assert!(matches!(read(&dir), Err(StoreError::Corrupt { .. })));
+        assert!(matches!(read_header(&dir), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn the_header_is_read_without_decoding_the_instance() {
+        let dir = TempDir::new("snap_header");
+        write(&dir, &state(true), false).expect("write");
+        let before = crate::codec::instance_decodes();
+        let header = read_header(&dir).expect("read").expect("some");
+        assert_eq!(crate::codec::instance_decodes(), before);
+        assert_eq!(
+            header,
+            SnapshotHeader {
+                round: 7,
+                next_null: 5,
+                complete: true
+            }
+        );
+        // A flip deep in the instance still fails the header read: the
+        // checksum covers the whole payload.
+        let mut bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("read");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).expect("write");
+        assert!(matches!(read_header(&dir), Err(StoreError::Corrupt { .. })));
     }
 }

@@ -165,24 +165,12 @@ impl Store {
         })
     }
 
-    /// Open an existing store in `dir`.
+    /// Open an existing store in `dir`: read `store.meta`, and verify
+    /// the snapshot's checksum and read its header. The snapshot's
+    /// instance is not decoded; [`Store::recover`] does that.
     pub fn open(dir: &Path, opts: StoreOptions) -> Result<Self, StoreError> {
-        let meta_path = dir.join(META_FILE);
-        let bytes = match fs::read(&meta_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::NotAStore {
-                    dir: dir.to_path_buf(),
-                })
-            }
-            Err(e) => return Err(StoreError::io(format!("read {META_FILE}"))(e)),
-        };
-        let payload = blob::unframe(META_MAGIC, &bytes, META_FILE)?;
-        let mut d = Decoder::new(payload, META_FILE);
-        let mode = StoreMode::from_byte(d.get_u8("store mode")?, META_FILE)?;
-        let mapping_text = d.get_str("mapping text")?;
-        d.finish()?;
-        let last_snapshot_round = snapshot::read(dir)?.map_or(0, |s| s.round);
+        let (mode, mapping_text) = read_meta(dir)?;
+        let last_snapshot_round = snapshot::read_header(dir)?.map_or(0, |h| h.round);
         Ok(Store {
             dir: dir.to_path_buf(),
             opts,
@@ -209,13 +197,7 @@ impl Store {
 
     /// Load the persisted source instance.
     pub fn source(&self) -> Result<Instance, StoreError> {
-        let bytes = fs::read(self.dir.join(SOURCE_FILE))
-            .map_err(StoreError::io(format!("read {SOURCE_FILE}")))?;
-        let payload = blob::unframe(SOURCE_MAGIC, &bytes, SOURCE_FILE)?;
-        let mut d = Decoder::new(payload, SOURCE_FILE);
-        let inst = d.get_instance()?;
-        d.finish()?;
-        Ok(inst)
+        read_source(&self.dir)
     }
 
     /// Reconstruct the last committed chase position: load the
@@ -381,6 +363,37 @@ impl Store {
             self.opts.sync,
         )
     }
+}
+
+/// Read and decode `store.meta` in `dir`: the store's mode and mapping
+/// text. A missing file means `dir` holds no store.
+pub(crate) fn read_meta(dir: &Path) -> Result<(StoreMode, String), StoreError> {
+    let bytes = match fs::read(dir.join(META_FILE)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(StoreError::NotAStore {
+                dir: dir.to_path_buf(),
+            })
+        }
+        Err(e) => return Err(StoreError::io(format!("read {META_FILE}"))(e)),
+    };
+    let payload = blob::unframe(META_MAGIC, &bytes, META_FILE)?;
+    let mut d = Decoder::new(payload, META_FILE);
+    let mode = StoreMode::from_byte(d.get_u8("store mode")?, META_FILE)?;
+    let mapping_text = d.get_str("mapping text")?;
+    d.finish()?;
+    Ok((mode, mapping_text))
+}
+
+/// Read and decode the persisted source instance in `dir`.
+pub(crate) fn read_source(dir: &Path) -> Result<Instance, StoreError> {
+    let bytes =
+        fs::read(dir.join(SOURCE_FILE)).map_err(StoreError::io(format!("read {SOURCE_FILE}")))?;
+    let payload = blob::unframe(SOURCE_MAGIC, &bytes, SOURCE_FILE)?;
+    let mut d = Decoder::new(payload, SOURCE_FILE);
+    let inst = d.get_instance()?;
+    d.finish()?;
+    Ok(inst)
 }
 
 /// A [`CheckpointSink`] persisting every checkpoint into a [`Store`].

@@ -1,6 +1,9 @@
 //! The migration crash matrix — live migration's acceptance property.
 //!
-//! For every migration fail-point site (`migrate.plan`,
+//! For both ways to start a migration ([`Migration::begin`], which
+//! reads the staged `source.bin` back on its first run, and
+//! [`Migration::begin_owned`], which chases the source it was handed),
+//! every migration fail-point site (`migrate.plan`,
 //! `migrate.round_commit`, `migrate.finalize`) *and* every nested
 //! store IO site (the staging chase fires `store.*` too), every fault
 //! action (typed error, torn short writes at several byte cuts,
@@ -73,7 +76,7 @@ fn old_instance() -> Instance {
 }
 
 /// The old instance renamed into the migration's source vocabulary —
-/// what `dexcli migrate` computes via `dex_evolution::prefix_instance`.
+/// what `dexcli migrate` computes via `dex_evolution::into_prefixed`.
 fn prefixed_source() -> Instance {
     let schema =
         Schema::with_relations(vec![RelSchema::untyped("v0__T", vec!["a", "b"]).unwrap()]).unwrap();
@@ -153,10 +156,27 @@ fn assert_is_a_boundary(state: &ChaseState, boundaries: &[ChaseState], ctx: &str
     );
 }
 
+/// How a migration is started.
+#[derive(Clone, Copy, Debug)]
+enum Begin {
+    /// [`Migration::begin`]: the first run decodes `source.bin`.
+    Borrowed,
+    /// [`Migration::begin_owned`]: the first run chases the source it
+    /// holds, as `dexcli migrate` and dexd do.
+    Owned,
+}
+
+fn begin(dir: &Path, how: Begin) -> Result<Migration, MigrateError> {
+    match how {
+        Begin::Borrowed => Migration::begin(dir, &plan(), &prefixed_source(), opts()),
+        Begin::Owned => Migration::begin_owned(dir, &plan(), prefixed_source(), opts()),
+    }
+}
+
 /// Drive the migration front to back; the fault makes this return an
 /// error (or unwind) somewhere along the way.
-fn drive(dir: &Path) -> Result<(), MigrateError> {
-    let mut mig = Migration::begin(dir, &plan(), &prefixed_source(), opts())?;
+fn drive(dir: &Path, how: Begin) -> Result<(), MigrateError> {
+    let mut mig = begin(dir, how)?;
     match mig.run(ChaseOptions::default(), &Governor::unlimited())? {
         MigrateRun::Done(_) => mig.finalize(),
         MigrateRun::Suspended(r) => panic!("unlimited run suspended: {r:?}"),
@@ -164,7 +184,7 @@ fn drive(dir: &Path) -> Result<(), MigrateError> {
 }
 
 /// Recover as a restarted process would and finish the migration.
-fn recover_and_finish(dir: &Path, ctx: &str, boundaries: &[ChaseState]) {
+fn recover_and_finish(dir: &Path, how: Begin, ctx: &str, boundaries: &[ChaseState]) {
     match migrate::status(dir).unwrap() {
         MigrateStatus::Committed => {
             assert!(migrate::roll_forward(dir, false).unwrap(), "{ctx}");
@@ -181,9 +201,7 @@ fn recover_and_finish(dir: &Path, ctx: &str, boundaries: &[ChaseState]) {
                 Ok(m) => m,
                 // The crash tore plan.bin before any chase data became
                 // durable: start the migration over.
-                Err(MigrateError::Plan { .. }) => {
-                    Migration::begin(dir, &plan(), &prefixed_source(), opts()).unwrap()
-                }
+                Err(MigrateError::Plan { .. }) => begin(dir, how).unwrap(),
                 Err(e) => panic!("{ctx}: resume failed: {e}"),
             };
             match mig
@@ -264,20 +282,27 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
     ];
 
     let sites: Vec<&str> = MIGRATE_SITES.iter().chain(STORE_SITES).copied().collect();
+    let starts = [Begin::Borrowed, Begin::Owned];
     let mut faulted_runs = 0usize;
-    for &site in &sites {
+    for (how, site) in starts
+        .iter()
+        .flat_map(|&how| sites.iter().map(move |&site| (how, site)))
+    {
         for action in actions {
             for nth in 1..=16u64 {
-                let dir = TempDir::new(&format!("{}_{action:?}_{nth}", site.replace('.', "_")));
+                let dir = TempDir::new(&format!(
+                    "{how:?}_{}_{action:?}_{nth}",
+                    site.replace('.', "_")
+                ));
                 build_old_store(&dir);
                 let before = live_bytes(&dir);
 
                 clear();
                 arm(site, action, nth);
-                let outcome = catch_unwind(AssertUnwindSafe(|| drive(&dir)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| drive(&dir, how)));
                 clear();
 
-                let ctx = format!("{site}/{action:?}/hit {nth}");
+                let ctx = format!("{how:?}/{site}/{action:?}/hit {nth}");
                 let faulted = match outcome {
                     Err(_) => true, // injected panic unwound
                     Ok(Err(e)) => {
@@ -332,13 +357,13 @@ fn fault_at_every_site_action_and_ordinal_leaves_old_store_intact_and_resumes() 
                     );
                 }
 
-                recover_and_finish(&dir, &ctx, &rec.boundaries);
+                recover_and_finish(&dir, how, &ctx, &rec.boundaries);
                 assert_migrated(&dir, &truth, &ctx);
             }
         }
     }
     assert!(
-        faulted_runs >= sites.len() * actions.len(),
+        faulted_runs >= starts.len() * sites.len() * actions.len(),
         "matrix must actually inject faults (got {faulted_runs})"
     );
 }

@@ -71,6 +71,35 @@ fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
+/// A flipped payload bit in `snapshot.bin` is the snapshot's problem
+/// alone: `store.meta` and `source.bin` are judged by their own reads.
+#[test]
+fn a_corrupt_snapshot_blames_only_the_snapshot() {
+    let dir = build_store(1000);
+    let path = dir.join(dex_store::snapshot::SNAPSHOT_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(Store::open(&dir, StoreOptions::default()).is_err());
+    let report = fsck::fsck(&dir).unwrap();
+    assert!(report.meta_ok && report.source_ok, "{report}");
+    assert_eq!(report.snapshot, fsck::SnapshotStatus::Corrupt);
+    assert_eq!(report.problems.len(), 1, "{report}");
+    let text = report.to_string();
+    let problems: Vec<&str> = text.lines().filter(|l| l.starts_with("problem:")).collect();
+    assert_eq!(
+        problems,
+        [
+            "problem: snapshot.bin does not verify: corrupt store file `snapshot.bin` \
+          at byte 16: payload checksum mismatch"
+        ],
+        "{text}"
+    );
+    assert!(text.starts_with("store.meta: ok\nsource.bin: ok\nsnapshot.bin: CORRUPT\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

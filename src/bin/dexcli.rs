@@ -45,7 +45,7 @@ use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats};
 use dex::rellens::Environment;
 use dex::store::migrate::{self as store_migrate, MigrateStatus};
 use dex::store::{fsck, ChaseState, MigrateRun, Migration, Store, StoreMode, StoreOptions};
-use dexd::json::{instance_from_json, value_to_json, write_instance, Style};
+use dexd::json::{instance_from_json, write_instance, write_rows, Style};
 use dexd::pipeline::{self, MigrateRefusal, Policy, Refused};
 use serde_json::{json, Value as Json};
 use std::io::{BufWriter, Write};
@@ -291,11 +291,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     answers.len()
                 ),
             }
-            let rows: Vec<Json> = answers
-                .iter()
-                .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
-                .collect();
-            println!("{}", pretty(&Json::Array(rows)));
+            print_stdout(|w| write_rows(&answers, w, Style::Pretty))?;
             Ok(if exhausted.is_some() {
                 ExitCode::from(EXIT_EXHAUSTED)
             } else {
@@ -985,7 +981,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
 /// iff the store is clean (after repair, when requested).
 fn fsck_cmd(dir: &Path, repair: bool) -> Result<ExitCode, String> {
     let report = fsck::fsck(dir).map_err(|e| e.to_string())?;
-    println!("{report}");
+    print_stdout(|w| write!(w, "{report}"))?;
     if report.is_clean() {
         return Ok(ExitCode::SUCCESS);
     }
@@ -994,7 +990,7 @@ fn fsck_cmd(dir: &Path, repair: bool) -> Result<ExitCode, String> {
             eprintln!("repair: {action}");
         }
         let after = fsck::fsck(dir).map_err(|e| e.to_string())?;
-        println!("{after}");
+        print_stdout(|w| write!(w, "{after}"))?;
         return Ok(if after.is_clean() {
             ExitCode::SUCCESS
         } else {
@@ -1110,8 +1106,9 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
         plan.input.fact_count(),
         migration.smos.len()
     );
+    let budget = plan.admitted.budget;
     let mig = plan.begin(dir, opts).map_err(|e| e.to_string())?;
-    run_migration(mig, dir, plan.admitted.budget)
+    run_migration(mig, dir, budget)
 }
 
 /// Render a migration refusal: refused before any byte of the store
@@ -1600,18 +1597,30 @@ fn print_instance(inst: &Instance) -> Result<(), String> {
     emit_instance(inst, std::io::stdout().lock(), "stdout")
 }
 
-/// Write `inst` and a newline to `stream` (a locked stdout or stderr)
-/// through a buffer, with no JSON tree in between. A closed or failing
-/// stream is an error (exit 1), not a panic.
+/// Write `inst` and a newline to `stream` (a locked stdout or stderr),
+/// with no JSON tree in between.
 fn emit_instance(inst: &Instance, stream: impl Write, name: &str) -> Result<(), String> {
+    emit(stream, name, |w| write_instance(inst, w, Style::Pretty))
+}
+
+/// [`emit`] to stdout.
+fn print_stdout(
+    body: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    emit(std::io::stdout().lock(), "stdout", body)
+}
+
+/// Write `body` and a newline to `stream` (a locked stdout or stderr)
+/// through a buffer. A closed or failing stream is an error (exit 1),
+/// not a panic.
+fn emit<S: Write>(
+    stream: S,
+    name: &str,
+    body: impl FnOnce(&mut BufWriter<S>) -> std::io::Result<()>,
+) -> Result<(), String> {
     let mut w = BufWriter::new(stream);
-    write_instance(inst, &mut w, Style::Pretty)
+    body(&mut w)
         .and_then(|()| w.write_all(b"\n"))
         .and_then(|()| w.flush())
         .map_err(|e| format!("writing {name}: {e}"))
-}
-
-/// Pretty-print a JSON document for stdout.
-fn pretty(j: &Json) -> String {
-    serde_json::to_string_pretty(j).expect("serializable")
 }

@@ -289,6 +289,65 @@ fn closed_stdout_is_an_error_not_a_panic() {
     assert!(err.contains("error: writing stdout"), "stderr: {err}");
 }
 
+/// Run `dexcli args` with stdout on a pipe whose read end is closed
+/// before the child starts, so its first write to stdout fails.
+fn run_with_closed_stdout(args: &[&std::ffi::OsStr]) -> (Option<i32>, String) {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = dexcli()
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap();
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+/// `dexcli query` writes its answers through the same fallible writer
+/// as the instance commands: a closed stdout is exit 1, not a panic.
+#[test]
+fn query_on_a_closed_stdout_is_an_error_not_a_panic() {
+    let tmp = TempDir::new("closed-stdout-query");
+    let m = tmp.write(
+        "q.dex",
+        b"source Emp(name);\ntarget Manager(emp, mgr);\nEmp(x) -> Manager(x, y);\n",
+    );
+    let src = tmp.write("q.json", br#"{"Emp": [["a"], ["b"]]}"#);
+    let (code, err) = run_with_closed_stdout(&[
+        "query".as_ref(),
+        m.as_os_str(),
+        src.as_os_str(),
+        "q(x) :- Manager(x, m)".as_ref(),
+    ]);
+    assert_eq!(code, Some(1), "stderr: {err}");
+    assert!(err.contains("error: writing stdout"), "stderr: {err}");
+}
+
+/// `dexcli fsck`'s report goes through the same writer.
+#[test]
+fn fsck_on_a_closed_stdout_is_an_error_not_a_panic() {
+    let tmp = TempDir::new("closed-stdout-fsck");
+    let m = tmp.write(
+        "f.dex",
+        b"source Emp(name);\ntarget Manager(emp, mgr);\nEmp(x) -> Manager(x, y);\n",
+    );
+    let src = tmp.write("f.json", br#"{"Emp": [["a"]]}"#);
+    let store = tmp.join("store");
+    let made = dexcli()
+        .arg("chase")
+        .arg(&m)
+        .arg(&src)
+        .arg("--store")
+        .arg(&store)
+        .args(["--no-sync"])
+        .output()
+        .unwrap();
+    assert_eq!(made.status.code(), Some(0));
+    let (code, err) = run_with_closed_stdout(&["fsck".as_ref(), store.as_os_str()]);
+    assert_eq!(code, Some(1), "stderr: {err}");
+    assert!(err.contains("error: writing stdout"), "stderr: {err}");
+}
+
 /// `--stats --format json` emits one machine-readable JSON object on
 /// stderr with the documented shape, for both outcomes.
 #[test]
