@@ -159,8 +159,6 @@ where
 {
     left: L,
     right: R,
-    seed_left: Option<L::Source>,
-    seed_right: Option<R::Source>,
 }
 
 impl<L, R, X> CospanLens<L, R>
@@ -170,23 +168,7 @@ where
 {
     /// Build from the two legs into the common codomain.
     pub fn new(left: L, right: R) -> Self {
-        CospanLens {
-            left,
-            right,
-            seed_left: None,
-            seed_right: None,
-        }
-    }
-
-    /// Provide initial repository states used before the first
-    /// propagation.
-    pub fn with_seeds(left: L, right: R, seed_left: L::Source, seed_right: R::Source) -> Self {
-        CospanLens {
-            left,
-            right,
-            seed_left: Some(seed_left),
-            seed_right: Some(seed_right),
-        }
+        CospanLens { left, right }
     }
 }
 
@@ -203,7 +185,7 @@ where
     type Compl = (Option<L::Source>, Option<R::Source>);
 
     fn missing(&self) -> Self::Compl {
-        (self.seed_left.clone(), self.seed_right.clone())
+        (None, None)
     }
 
     fn put_r(&self, s: &L::Source, c: &Self::Compl) -> (R::Source, Self::Compl) {

@@ -112,19 +112,6 @@ impl Mapping {
     pub fn to_sotgd(&self) -> SoTgd {
         SoTgd::from_st_tgds(&self.st_tgds)
     }
-
-    /// The reversed *relationship* (not an inverse): swaps source and
-    /// target schemas with each st-tgd flipped naively. Only meaningful
-    /// for full tgds whose sides are both single atoms; used as a
-    /// baseline against proper inverses in the `dex-ops` crate.
-    pub fn naive_flip(&self) -> Result<Mapping, RelationalError> {
-        let flipped = self
-            .st_tgds
-            .iter()
-            .map(|t| StTgd::new(t.rhs.clone(), t.lhs.clone()))
-            .collect();
-        Mapping::new(self.target.clone(), self.source.clone(), flipped)
-    }
 }
 
 impl fmt::Display for Mapping {
@@ -289,15 +276,6 @@ mod tests {
         )
         .unwrap();
         assert!(full.is_full());
-    }
-
-    #[test]
-    fn naive_flip_swaps_sides() {
-        let m = example1();
-        let f = m.naive_flip().unwrap();
-        assert_eq!(f.source(), &mgr_schema());
-        assert_eq!(f.target(), &emp_schema());
-        assert_eq!(f.st_tgds()[0].lhs[0].relation, "Manager");
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Term {
         Term::Func(f.into(), args)
     }
 
-    /// Is this a variable?
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// The variable name, if a variable.
     pub fn as_var(&self) -> Option<&Name> {
         match self {

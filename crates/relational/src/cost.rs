@@ -299,13 +299,6 @@ impl SourceStats {
     pub fn card(&self, rel: &Name) -> u64 {
         self.cards.get(rel).copied().unwrap_or(self.default_card)
     }
-
-    /// Total source tuples across all listed relations (each unlisted
-    /// relation contributes `default_card` only through [`card`](Self::card),
-    /// so callers summing over a schema should iterate its relations).
-    pub fn total_listed(&self) -> u64 {
-        self.cards.values().fold(0u64, |a, n| a.saturating_add(*n))
-    }
 }
 
 #[cfg(test)]

@@ -309,18 +309,6 @@ impl Instance {
         Ok(out)
     }
 
-    /// Merge an instance over a *different* schema into a combined
-    /// instance over the disjoint union of the two schemas. Used to stage
-    /// source ∪ target for the chase.
-    pub fn merge_disjoint(&self, other: &Instance) -> Result<Instance, RelationalError> {
-        let schema = self.schema.disjoint_union(&other.schema)?;
-        let mut out = Instance::empty(schema);
-        for (n, t) in self.facts().chain(other.facts()) {
-            out.insert(n.as_str(), t)?;
-        }
-        Ok(out)
-    }
-
     /// Restrict the instance to the relations of `sub` (which must be a
     /// sub-schema). Facts in other relations are dropped.
     pub fn project_to_schema(&self, sub: &Schema) -> Result<Instance, RelationalError> {
@@ -455,14 +443,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_disjoint_and_project_back() {
+    fn project_to_schema_drops_other_relations() {
         let src = Instance::with_facts(emp_schema(), vec![("Emp", vec![tuple!["Alice"]])]).unwrap();
-        let tgt = Instance::with_facts(
-            mgr_schema(),
-            vec![("Manager", vec![tuple!["Alice", "Bob"]])],
+        let merged = Instance::with_facts(
+            emp_schema().disjoint_union(&mgr_schema()).unwrap(),
+            vec![
+                ("Emp", vec![tuple!["Alice"]]),
+                ("Manager", vec![tuple!["Alice", "Bob"]]),
+            ],
         )
         .unwrap();
-        let merged = src.merge_disjoint(&tgt).unwrap();
         assert_eq!(merged.fact_count(), 2);
         let back = merged.project_to_schema(&emp_schema()).unwrap();
         assert_eq!(back, src);

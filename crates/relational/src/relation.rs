@@ -456,11 +456,6 @@ impl Relation {
         self.index.stats()
     }
 
-    /// Named access: the value of attribute `attr` in tuple `t`.
-    pub fn value_of<'t>(&self, t: &'t Tuple, attr: &str) -> Option<&'t Value> {
-        self.schema.position(attr).and_then(|i| t.get(i))
-    }
-
     /// Collect every null id occurring in the instance (column scan,
     /// no row materialization).
     pub fn collect_nulls(&self, out: &mut BTreeSet<NullId>) {
@@ -711,15 +706,6 @@ mod tests {
         assert!(r.insert(tuple!["Alice"]).unwrap());
         assert!(!r.insert(tuple!["Alice"]).unwrap());
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn named_access() {
-        let s = RelSchema::untyped("P", vec!["id", "name"]).unwrap();
-        let r = Relation::from_tuples(s, vec![tuple![1i64, "Alice"]]).unwrap();
-        let t = r.iter().next().unwrap();
-        assert_eq!(r.value_of(&t, "name"), Some(&Value::str("Alice")));
-        assert_eq!(r.value_of(&t, "zip"), None);
     }
 
     #[test]

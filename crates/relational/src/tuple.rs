@@ -42,14 +42,6 @@ impl Tuple {
         self.0.iter().all(Value::is_ground)
     }
 
-    /// Does the tuple contain any labeled null (including inside Skolem
-    /// terms)?
-    pub fn has_nulls(&self) -> bool {
-        let mut s = BTreeSet::new();
-        self.collect_nulls(&mut s);
-        !s.is_empty()
-    }
-
     /// Collect all null ids into `out`.
     pub fn collect_nulls(&self, out: &mut BTreeSet<NullId>) {
         for v in self.0.iter() {
@@ -149,7 +141,6 @@ mod tests {
     fn groundness_and_nulls() {
         let t = Tuple::new(vec![Value::str("a"), Value::null(1)]);
         assert!(!t.is_ground());
-        assert!(t.has_nulls());
         let mut s = BTreeSet::new();
         t.collect_nulls(&mut s);
         assert_eq!(s.len(), 1);

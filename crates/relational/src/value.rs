@@ -145,14 +145,6 @@ impl Value {
         }
     }
 
-    /// The constant inside, if any.
-    pub fn as_const(&self) -> Option<&Constant> {
-        match self {
-            Value::Const(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// The integer inside, if this is an integer constant.
     pub fn as_int(&self) -> Option<i64> {
         match self {

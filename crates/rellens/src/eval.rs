@@ -377,12 +377,6 @@ impl dex_lens::Lens for InstanceLens {
     }
 }
 
-/// Helper: build a relation with `schema`'s header from raw tuples —
-/// convenient for writing edited views in tests and examples.
-pub fn view_of(schema: &RelSchema, tuples: Vec<Tuple>) -> Result<Relation, RellensError> {
-    Ok(Relation::from_tuples(schema.clone(), tuples)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

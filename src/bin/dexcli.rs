@@ -1,21 +1,6 @@
 //! `dexcli` — command-line front end for the dex engine.
 //!
-//! ```text
-//! dexcli plan     <mapping.dex>                          show the compiled lens plan
-//! dexcli explain  <mapping.dex> [--format tree|json|dot] annotated execution plan + provenance
-//! dexcli check    <mapping.dex>                          parse + fidelity + termination report
-//! dexcli chase    <mapping.dex> <source.json> [--stats]  classical chase (universal solution)
-//! dexcli exchange <mapping.dex> <source.json> [prev.json] [--stats] lens-engine forward
-//! dexcli backward <mapping.dex> <target.json> <source.json> lens-engine backward
-//! dexcli compose  <m1.dex> <m2.dex> [--check]            compose mappings (SO-tgd or st-tgds)
-//! dexcli optimize <mapping.dex> [--emit out.dex]         provably-safe optimizer (verified rewrites)
-//! dexcli eq       <a.dex> <b.dex>                        decide equivalence (witness on differ)
-//! dexcli recover  <mapping.dex>                          maximum recovery (disjunctive rules)
-//! dexcli resume   <store-dir>                            continue a crashed/exhausted --store run
-//! dexcli migrate  <store-dir> <new-schema.dex>           crash-safe live schema migration
-//! dexcli fsck     <store-dir> [--repair]                 verify (and repair) a store directory
-//! ```
-//!
+//! `dexcli help` lists every command with its flags and exit codes.
 //! `chase`/`exchange` take `--store <dir>` to persist the run crash-
 //! safely (WAL + snapshots; see DESIGN.md §9); `dexcli resume` then
 //! continues from the last committed round after a crash or budget
@@ -29,6 +14,12 @@
 //!
 //! Labeled nulls appear in output as `{"null": n}`; Skolem terms as
 //! `{"skolem": "f", "args": [...]}`.
+//!
+//! Every stdout byte goes through `emit`, so a closed or failing stdout
+//! is exit 1, never a panic; every command parses its flags with
+//! `take_flag`/`take_flag_value`/`take_flag_choice` and its positionals
+//! with `positionals`.
+#![deny(clippy::print_stdout)]
 
 use dex::analyze::{
     analyze_with, cost::DEFAULT_CARD, deny_warnings, equivalent, explain_with, has_errors,
@@ -48,7 +39,8 @@ use dex::store::{fsck, ChaseState, MigrateRun, Migration, Store, StoreMode, Stor
 use dexd::json::{instance_from_json, write_instance, write_rows, Style};
 use dexd::pipeline::{self, MigrateRefusal, Policy, Refused};
 use serde_json::{json, Value as Json};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, StdoutLock, Write};
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -95,37 +87,38 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if std::env::var_os("DEXCLI_TEST_PANIC").is_some() {
         panic!("DEXCLI_TEST_PANIC set");
     }
-    let cmd = args.first().ok_or(usage)?;
+    let (cmd, rest) = args.split_first().ok_or(usage)?;
+    let mut rest: Vec<&String> = rest.iter().collect();
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
-            println!("{}", HELP);
+            positionals(&rest, 0..=0, usage)?;
+            emit(|w| writeln!(w, "{HELP}"))?;
             Ok(ExitCode::SUCCESS)
         }
         "plan" => {
-            let m = load_mapping(args.get(1).ok_or(usage)?)?;
-            let engine = build_engine(&m)?;
-            println!("{}", engine.show_plan());
+            let p = positionals(&rest, 1..=1, usage)?;
+            let engine = build_engine(&load_mapping(p[0])?)?;
+            emit(|w| writeln!(w, "{}", engine.show_plan()))?;
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let m = load_mapping(args.get(1).ok_or(usage)?)?;
-            check(&m);
+            let p = positionals(&rest, 1..=1, usage)?;
+            let m = load_mapping(p[0])?;
+            emit(|w| check(&m, w))?;
             Ok(ExitCode::SUCCESS)
         }
-        "lint" => lint(&args[1..]),
-        "explain" => explain_cmd(&args[1..]),
-        "optimize" => optimize_cmd(&args[1..]),
-        "eq" => eq_cmd(&args[1..]),
+        "lint" => lint(rest),
+        "explain" => explain_cmd(rest),
+        "optimize" => optimize_cmd(rest),
+        "eq" => eq_cmd(rest),
         "chase" => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
             let policy = extract_policy(&mut rest)?;
-            reject_unknown_flags(&rest)?;
-            let mapping_path = rest.first().ok_or(usage)?;
-            let (text, m) = load_mapping_text(mapping_path)?;
-            let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
+            let p = positionals(&rest, 2..=2, usage)?;
+            let (text, m) = load_mapping_text(p[0])?;
+            let src = load_instance(p[1], m.source())?;
             let (budget, predicted) = match admitted_budget(&policy, &m, &src, budget) {
                 Ok(adm) => adm,
                 Err(code) => return Ok(code),
@@ -154,17 +147,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             )
         }
         "exchange" => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
             let store_opts = extract_store(&mut rest)?;
             let policy = extract_policy(&mut rest)?;
-            reject_unknown_flags(&rest)?;
-            let mapping_path = rest.first().ok_or(usage)?;
-            let (text, m) = load_mapping_text(mapping_path)?;
-            let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
-            let prev = match rest.get(2) {
-                Some(p) => Some(load_instance(p, m.target())?),
+            let p = positionals(&rest, 2..=3, usage)?;
+            let (text, m) = load_mapping_text(p[0])?;
+            let src = load_instance(p[1], m.source())?;
+            let prev = match p.get(2) {
+                Some(path) => Some(load_instance(path, m.target())?),
                 None => None,
             };
             let (budget, predicted) = match admitted_budget(&policy, &m, &src, budget) {
@@ -180,48 +171,42 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             finish_forward(forward, &out, Some(&predicted), store.as_mut())
         }
         "resume" => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
             let out = extract_output(&mut rest)?;
-            reject_unknown_flags(&rest)?;
-            let dir = Path::new(rest.first().ok_or(usage)?.as_str());
-            resume(dir, budget, &out)
+            let p = positionals(&rest, 1..=1, usage)?;
+            resume(Path::new(p[0].as_str()), budget, &out)
         }
-        "serve" => serve_cmd(&args[1..]),
-        "migrate" => migrate_cmd(&args[1..]),
+        "serve" => serve_cmd(rest),
+        "migrate" => migrate_cmd(rest),
         "fsck" => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let repair = take_flag(&mut rest, "--repair");
-            reject_unknown_flags(&rest)?;
-            let dir = Path::new(rest.first().ok_or(usage)?.as_str());
-            fsck_cmd(dir, repair)
+            let p = positionals(&rest, 1..=1, usage)?;
+            fsck_cmd(Path::new(p[0].as_str()), repair)
         }
         "backward" => {
-            let m = load_mapping(args.get(1).ok_or(usage)?)?;
-            let tgt = load_instance(args.get(2).ok_or(usage)?, m.target())?;
-            let src = load_instance(args.get(3).ok_or(usage)?, m.source())?;
+            let p = positionals(&rest, 3..=3, usage)?;
+            let m = load_mapping(p[0])?;
+            let tgt = load_instance(p[1], m.target())?;
+            let src = load_instance(p[2], m.source())?;
             let engine = build_engine(&m)?;
             let out = engine.backward(&tgt, &src).map_err(|e| e.to_string())?;
-            print_instance(&out)?;
+            emit(|w| write_instance(&out, w, Style::Pretty).and_then(|()| writeln!(w)))?;
             Ok(ExitCode::SUCCESS)
         }
         "compose" => {
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let check = take_flag(&mut rest, "--check");
-            reject_unknown_flags(&rest)?;
-            let m1 = load_mapping(rest.first().ok_or(usage)?)?;
-            let m2 = load_mapping(rest.get(1).ok_or(usage)?)?;
+            let p = positionals(&rest, 2..=2, usage)?;
+            let m1 = load_mapping(p[0])?;
+            let m2 = load_mapping(p[1])?;
             let comp = compose(&m1, &m2).map_err(|e| e.to_string())?;
             match &comp.st_tgds {
                 Some(tgds) => {
                     eprintln!("composition is first-order ({} st-tgds):", tgds.len());
-                    for t in tgds {
-                        println!("{t}");
-                    }
+                    emit(|w| tgds.iter().try_for_each(|t| writeln!(w, "{t}")))?;
                 }
                 None => {
                     eprintln!("composition requires second-order quantification:");
-                    println!("{comp}");
+                    emit(|w| writeln!(w, "{comp}"))?;
                 }
             }
             if check {
@@ -240,8 +225,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             chk.checked
                         );
                         if let Some(cx) = chk.counterexample {
-                            eprintln!("counterexample source instance:");
-                            emit_instance(&cx.source, std::io::stderr().lock(), "stderr")?;
+                            let mut text = Vec::new();
+                            write_instance(&cx.source, &mut text, Style::Pretty)
+                                .map_err(|e| e.to_string())?;
+                            eprintln!(
+                                "counterexample source instance:\n{}",
+                                String::from_utf8_lossy(&text)
+                            );
                         }
                         return Ok(ExitCode::from(EXIT_LINT));
                     }
@@ -255,13 +245,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "query" => {
             // dexcli query <mapping> <source.json> "q(x) :- Manager(x, m)"
-            let mut rest: Vec<&String> = args[1..].iter().collect();
             let budget = extract_budget(&mut rest)?;
-            reject_unknown_flags(&rest)?;
-            let m = load_mapping(rest.first().ok_or(usage)?)?;
-            let src = load_instance(rest.get(1).ok_or(usage)?, m.source())?;
-            let qtext = rest.get(2).ok_or(usage)?;
-            let (head, body) = dex::logic::parse_query(qtext).map_err(|e| e.to_string())?;
+            let p = positionals(&rest, 3..=3, usage)?;
+            let m = load_mapping(p[0])?;
+            let src = load_instance(p[1], m.source())?;
+            let (head, body) = dex::logic::parse_query(p[2]).map_err(|e| e.to_string())?;
             let q =
                 dex::chase::ConjunctiveQuery::new(head.iter().map(|n| n.as_str()).collect(), body)
                     .map_err(|e| e.to_string())?;
@@ -291,7 +279,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     answers.len()
                 ),
             }
-            print_stdout(|w| write_rows(&answers, w, Style::Pretty))?;
+            emit(|w| write_rows(&answers, w, Style::Pretty).and_then(|()| writeln!(w)))?;
             Ok(if exhausted.is_some() {
                 ExitCode::from(EXIT_EXHAUSTED)
             } else {
@@ -299,9 +287,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "recover" => {
-            let m = load_mapping(args.get(1).ok_or(usage)?)?;
-            let rec = maximum_recovery(&m).map_err(|e| e.to_string())?;
-            println!("{rec}");
+            let p = positionals(&rest, 1..=1, usage)?;
+            let rec = maximum_recovery(&load_mapping(p[0])?).map_err(|e| e.to_string())?;
+            emit(|w| writeln!(w, "{rec}"))?;
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`\n{usage}")),
@@ -319,60 +307,30 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 /// verified equivalence-preserving rewrite, but two suggestions need
 /// not compose — so fixes are applied one at a time, re-parsing and
 /// re-linting after each, until a fixpoint.
-fn lint(args: &[String]) -> Result<ExitCode, String> {
+fn lint(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     let usage = "usage: dexcli lint <mapping.dex>… [--format text|json] [--deny warnings]\n\
                  \x20                               [--deny-cost <n>] [--cards <spec>] [--fix]\n\
                  \x20      dexcli lint --explain DEXnnn";
-    let mut files: Vec<&String> = Vec::new();
-    let mut format = "text";
-    let mut deny = false;
-    let mut fix = false;
-    let mut deny_cost: Option<u64> = None;
-    let mut stats: Option<SourceStats> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fix" => fix = true,
-            "--explain" => {
-                let code_str = it
-                    .next()
-                    .ok_or_else(|| format!("--explain takes a code like DEX401\n{usage}"))?;
-                let code = Code::parse(code_str)
-                    .ok_or_else(|| format!("unknown diagnostic code `{code_str}`"))?;
-                println!("{code}: {}", code.explanation());
-                return Ok(ExitCode::SUCCESS);
-            }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some(f @ ("text" | "json")) => f,
-                    _ => return Err(format!("--format takes `text` or `json`\n{usage}")),
-                };
-            }
-            "--deny" => match it.next().map(String::as_str) {
-                Some("warnings") => deny = true,
-                _ => return Err(format!("--deny takes `warnings`\n{usage}")),
-            },
-            "--deny-cost" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("--deny-cost requires a value\n{usage}"))?;
-                deny_cost = Some(parse_count(v, "--deny-cost")?);
-            }
-            "--cards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("--cards requires a value\n{usage}"))?;
-                stats = Some(parse_cards(v)?);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}`\n{usage}"))
-            }
-            _ => files.push(a),
-        }
+    let explain = take_flag_value(&mut rest, "--explain")?;
+    let json = take_flag_choice(&mut rest, "--format", &["text", "json"])? == Some("json");
+    let deny = take_flag_choice(&mut rest, "--deny", &["warnings"])?.is_some();
+    let fix = take_flag(&mut rest, "--fix");
+    let deny_cost = match take_flag_value(&mut rest, "--deny-cost")? {
+        Some(v) => Some(parse_count(&v, "--deny-cost")?),
+        None => None,
+    };
+    let stats = match take_flag_value(&mut rest, "--cards")? {
+        Some(spec) => Some(parse_cards(&spec)?),
+        None => None,
+    };
+    if let Some(code_str) = explain {
+        positionals(&rest, 0..=0, usage)?;
+        let code = Code::parse(&code_str)
+            .ok_or_else(|| format!("unknown diagnostic code `{code_str}`"))?;
+        emit(|w| writeln!(w, "{code}: {}", code.explanation()))?;
+        return Ok(ExitCode::SUCCESS);
     }
-    if files.is_empty() {
-        return Err(usage.into());
-    }
+    let files = positionals(&rest, 1..=usize::MAX, usage)?;
     let options = AnalyzeOptions {
         stats,
         deny_cost,
@@ -381,7 +339,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
 
     let mut failed = false;
     let mut json_report: Vec<Json> = Vec::new();
-    for path in files {
+    for &path in files {
         let mut text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         if fix {
@@ -403,24 +361,19 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         // source position, then code, then message.
         sort_diagnostics(&mut diags);
         failed |= has_errors(&diags);
-        match format {
-            "json" => json_report.push(json!({
+        if json {
+            json_report.push(json!({
                 "file": path,
-                "diagnostics": serde_json::to_value(&diags)
-                    .map_err(|e| e.to_string())?,
-            })),
-            _ => {
-                if !diags.is_empty() {
-                    print!("{}", render_all(&diags, path, &text));
-                }
-            }
+                "diagnostics": serde_json::to_value(&diags).map_err(|e| e.to_string())?,
+            }));
+        } else if !diags.is_empty() {
+            emit(|w| write!(w, "{}", render_all(&diags, path, &text)))?;
         }
     }
-    if format == "json" {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&Json::Array(json_report)).map_err(|e| e.to_string())?
-        );
+    if json {
+        let report =
+            serde_json::to_string_pretty(&Json::Array(json_report)).map_err(|e| e.to_string())?;
+        emit(|w| writeln!(w, "{report}"))?;
     }
     if failed {
         eprintln!("lint found errors");
@@ -436,36 +389,31 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
 /// matcher phase, null production, lens trees with update policies,
 /// and position-level provenance. Unparsable mappings print their
 /// `DEX000` diagnostic and exit [`EXIT_LINT`], mirroring `lint`.
-fn explain_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn explain_cmd(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     let usage = "usage: dexcli explain <mapping.dex> [--format tree|json|dot] [--cards <spec>]";
-    let mut rest: Vec<&String> = args.iter().collect();
-    let format = take_flag_value(&mut rest, "--format")?.unwrap_or_else(|| "tree".into());
-    if !matches!(format.as_str(), "tree" | "json" | "dot") {
-        return Err(format!("--format takes `tree`, `json` or `dot`\n{usage}"));
-    }
+    let format = take_flag_choice(&mut rest, "--format", &["tree", "json", "dot"])?;
     let stats = match take_flag_value(&mut rest, "--cards")? {
         Some(spec) => parse_cards(&spec)?,
         None => SourceStats::uniform(DEFAULT_CARD),
     };
-    reject_unknown_flags(&rest)?;
-    let path = rest.first().ok_or(usage)?;
+    let path = positionals(&rest, 1..=1, usage)?[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (m, spans) = match parse_mapping_with_spans(&text) {
         Ok(parsed) => parsed,
         Err(e) => {
             let d = parse_error_diagnostic(&e);
-            print!("{}", render_all(&[d], path, &text));
+            emit(|w| write!(w, "{}", render_all(&[d], path, &text)))?;
             return Ok(ExitCode::from(EXIT_LINT));
         }
     };
     let report = explain_with(&m, Some(&spans), &stats);
-    match format.as_str() {
-        "json" => println!(
-            "{}",
-            serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?
-        ),
-        "dot" => print!("{}", report.render_dot()),
-        _ => print!("{}", report.render_tree()),
+    match format {
+        Some("json") => {
+            let j = serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?;
+            emit(|w| writeln!(w, "{j}"))?;
+        }
+        Some("dot") => emit(|w| write!(w, "{}", report.render_dot()))?,
+        _ => emit(|w| write!(w, "{}", report.render_tree()))?,
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -546,19 +494,17 @@ fn offset_of(text: &str, line: usize, col: usize) -> Option<usize> {
 /// reports the verified rewrites without emitting. Non-terminating
 /// mappings are refused with a typed reason and exit [`EXIT_LINT`] —
 /// never silently "optimized" without proof.
-fn optimize_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn optimize_cmd(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     let usage = "usage: dexcli optimize <mapping.dex> [--emit <out.dex>] [--check]";
-    let mut rest: Vec<&String> = args.iter().collect();
-    let emit = take_flag_value(&mut rest, "--emit")?;
+    let emit_to = take_flag_value(&mut rest, "--emit")?;
     let check = take_flag(&mut rest, "--check");
-    reject_unknown_flags(&rest)?;
-    let path = rest.first().ok_or(usage)?;
+    let path = positionals(&rest, 1..=1, usage)?[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let m = match parse_mapping_with_spans(&text) {
         Ok((m, _)) => m,
         Err(e) => {
             let d = parse_error_diagnostic(&e);
-            print!("{}", render_all(&[d], path, &text));
+            emit(|w| write!(w, "{}", render_all(&[d], path, &text)))?;
             return Ok(ExitCode::from(EXIT_LINT));
         }
     };
@@ -605,12 +551,12 @@ fn optimize_cmd(args: &[String]) -> Result<ExitCode, String> {
             ))
         }
     }
-    match emit {
+    match emit_to {
         Some(out) => {
             std::fs::write(&out, &rendered).map_err(|e| format!("cannot write {out}: {e}"))?;
             eprintln!("wrote {out}");
         }
-        None => print!("{rendered}"),
+        None => emit(|w| write!(w, "{rendered}"))?,
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -622,19 +568,11 @@ fn optimize_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// equivalent; [`EXIT_DIFFER`] (4) — provably inequivalent, with a
 /// machine-checkable counterexample witness on stdout;
 /// [`EXIT_LINT`] (2) — parse error or outside the decidable fragment.
-fn eq_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn eq_cmd(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     let usage = "usage: dexcli eq <a.dex> <b.dex> [--format text|json]";
-    let mut rest: Vec<&String> = args.iter().collect();
-    let json = match take_flag_value(&mut rest, "--format")?.as_deref() {
-        Some("json") => true,
-        Some("text") | None => false,
-        Some(f) => return Err(format!("--format takes `text` or `json`, got `{f}`")),
-    };
-    reject_unknown_flags(&rest)?;
-    let (path_a, path_b) = match rest.as_slice() {
-        [a, b] => (a.as_str(), b.as_str()),
-        _ => return Err(usage.into()),
-    };
+    let json = take_flag_choice(&mut rest, "--format", &["text", "json"])? == Some("json");
+    let p = positionals(&rest, 2..=2, usage)?;
+    let (path_a, path_b) = (p[0].as_str(), p[1].as_str());
     let ma = load_mapping(path_a)?;
     let mb = load_mapping(path_b)?;
     let verdict = equivalent(&ma, &mb);
@@ -664,10 +602,8 @@ fn eq_cmd(args: &[String]) -> Result<ExitCode, String> {
             "forward": containment_json(&verdict.forward)?,
             "backward": containment_json(&verdict.backward)?,
         });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&obj).map_err(|e| e.to_string())?
-        );
+        let obj = serde_json::to_string_pretty(&obj).map_err(|e| e.to_string())?;
+        emit(|w| writeln!(w, "{obj}"))?;
     }
     if verdict.holds() {
         eprintln!("equivalent: {path_a} == {path_b}");
@@ -682,14 +618,10 @@ fn eq_cmd(args: &[String]) -> Result<ExitCode, String> {
                 w.dependency
             );
             if !json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(
-                        &serde_json::to_value(w.as_ref()) //
-                            .map_err(|e| e.to_string())?
-                    )
-                    .map_err(|e| e.to_string())?
-                );
+                let witness = serde_json::to_value(w.as_ref())
+                    .and_then(|v| serde_json::to_string_pretty(&v))
+                    .map_err(|e| e.to_string())?;
+                emit(|w| writeln!(w, "{witness}"))?;
             }
         }
         eprintln!("mappings differ");
@@ -730,52 +662,41 @@ struct OutputOpts {
     json: bool,
 }
 
-/// After flag extraction, anything left that still looks like a flag
-/// is unknown — reject it rather than silently treating it as a
-/// positional argument.
-fn reject_unknown_flags(rest: &[&String]) -> Result<(), String> {
-    match rest.iter().find(|a| a.starts_with("--")) {
-        Some(flag) => Err(format!("unknown flag `{flag}`")),
-        None => Ok(()),
-    }
-}
-
 /// Extract `--stats` and `--format text|json` from an argument list.
 fn extract_output(rest: &mut Vec<&String>) -> Result<OutputOpts, String> {
     let stats = take_flag(rest, "--stats");
-    let json = match take_flag_value(rest, "--format")?.as_deref() {
-        Some("json") => true,
-        Some("text") | None => false,
-        Some(f) => return Err(format!("--format takes `text` or `json`, got `{f}`")),
-    };
+    let json = take_flag_choice(rest, "--format", &["text", "json"])? == Some("json");
     if json && !stats {
         return Err("--format json requires --stats".into());
     }
     Ok(OutputOpts { stats, json })
 }
 
-/// Extract `--store <dir>` (plus `--snapshot-every <n>` and
-/// `--no-sync`) from an argument list.
+/// Extract `--store <dir>` plus the store options from an argument
+/// list.
 fn extract_store(
     rest: &mut Vec<&String>,
 ) -> Result<Option<(std::path::PathBuf, StoreOptions)>, String> {
     let dir = take_flag_value(rest, "--store")?;
-    let every = take_flag_value(rest, "--snapshot-every")?;
-    let no_sync = take_flag(rest, "--no-sync");
+    let (opts, given) = extract_store_options(rest)?;
     match dir {
-        Some(d) => {
-            let mut opts = StoreOptions::default();
-            if let Some(n) = every {
-                opts.snapshot_every = parse_count(&n, "--snapshot-every")?.max(1);
-            }
-            opts.sync = !no_sync;
-            Ok(Some((std::path::PathBuf::from(d), opts)))
-        }
-        None if every.is_some() || no_sync => {
-            Err("--snapshot-every and --no-sync require --store".into())
-        }
+        Some(d) => Ok(Some((std::path::PathBuf::from(d), opts))),
+        None if given => Err("--snapshot-every and --no-sync require --store".into()),
         None => Ok(None),
     }
+}
+
+/// Extract `--snapshot-every <n>` and `--no-sync` into store options;
+/// the flag is whether either was given.
+fn extract_store_options(rest: &mut Vec<&String>) -> Result<(StoreOptions, bool), String> {
+    let every = take_flag_value(rest, "--snapshot-every")?;
+    let no_sync = take_flag(rest, "--no-sync");
+    let mut opts = StoreOptions::default();
+    if let Some(n) = &every {
+        opts.snapshot_every = parse_count(n, "--snapshot-every")?.max(1);
+    }
+    opts.sync = !no_sync;
+    Ok((opts, every.is_some() || no_sync))
 }
 
 /// Print a chase outcome: instance to stdout, stats/report to stderr
@@ -786,15 +707,14 @@ fn finish_chase(
     predicted: Option<&Json>,
     store_dir: Option<&Path>,
 ) -> Result<ExitCode, String> {
-    match outcome {
+    let (instance, code) = match outcome {
         ChaseOutcome::Complete(res) => {
             if out.json {
                 eprintln!("{}", chase_stats_json(&res.stats, predicted, None));
             } else if out.stats {
                 eprint!("{}", res.stats);
             }
-            print_instance(&res.target)?;
-            Ok(ExitCode::SUCCESS)
+            (res.target, ExitCode::SUCCESS)
         }
         ChaseOutcome::Exhausted(ex) => {
             if out.json {
@@ -812,10 +732,11 @@ fn finish_chase(
                     eprintln!("resume with: dexcli resume {}", dir.display());
                 }
             }
-            print_instance(&ex.partial)?;
-            Ok(ExitCode::from(EXIT_EXHAUSTED))
+            (ex.partial, ExitCode::from(EXIT_EXHAUSTED))
         }
-    }
+    };
+    emit(|w| write_instance(&instance, w, Style::Pretty).and_then(|()| writeln!(w)))?;
+    Ok(code)
 }
 
 /// Print a lens-engine forward outcome, persisting the result into the
@@ -838,7 +759,7 @@ fn finish_forward(
         }
         Ok::<(), String>(())
     };
-    match forward {
+    let (instance, code) = match forward {
         EngineForward::Complete { target, stats } => {
             persist(store, &target, true)?;
             if out.json {
@@ -846,8 +767,7 @@ fn finish_forward(
             } else if out.stats {
                 eprint!("{stats}");
             }
-            print_instance(&target)?;
-            Ok(ExitCode::SUCCESS)
+            (target, ExitCode::SUCCESS)
         }
         EngineForward::Exhausted { partial, report } => {
             persist(store, &partial, false)?;
@@ -858,10 +778,11 @@ fn finish_forward(
                 eprintln!("{report}");
                 eprintln!("the instance below is a consistent partial forward result");
             }
-            print_instance(&partial)?;
-            Ok(ExitCode::from(EXIT_EXHAUSTED))
+            (partial, ExitCode::from(EXIT_EXHAUSTED))
         }
-    }
+    };
+    emit(|w| write_instance(&instance, w, Style::Pretty).and_then(|()| writeln!(w)))?;
+    Ok(code)
 }
 
 fn chase_stats_json(
@@ -925,46 +846,44 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
     let m = parse_mapping(store.mapping_text())
         .map_err(|e| format!("mapping stored in {}: {e}", dir.display()))?;
     let gov = Governor::new(Policy::default().budget(budget));
-    match store.mode() {
-        StoreMode::Chase => match store.recover().map_err(|e| e.to_string())? {
-            Some(r) if r.state.complete => {
-                eprintln!(
+    match (store.mode(), store.recover().map_err(|e| e.to_string())?) {
+        (mode, Some(r)) if r.state.complete => {
+            match mode {
+                StoreMode::Chase => eprintln!(
                     "store already holds a completed chase (round {})",
                     r.state.round
-                );
-                print_instance(&r.state.instance)?;
-                Ok(ExitCode::SUCCESS)
+                ),
+                StoreMode::Exchange => eprintln!("store already holds a completed exchange"),
             }
-            Some(r) => {
-                eprintln!(
-                    "recovered round {} ({} WAL record(s) replayed{}); resuming",
-                    r.state.round,
-                    r.replayed_records,
-                    if r.wal_torn {
-                        ", torn tail discarded"
-                    } else {
-                        ""
-                    }
-                );
-                let outcome = pipeline::resume(&m, &mut store, r.state, &gov)?;
-                finish_chase(outcome, out, None, Some(dir))
-            }
-            None => {
-                eprintln!("no checkpoint on disk; starting the chase from the stored source");
-                let src = store.source().map_err(|e| e.to_string())?;
-                let outcome =
-                    pipeline::chase(&m, &src, &gov, Some(&mut store)).map_err(|e| e.to_string())?;
-                finish_chase(outcome, out, None, Some(dir))
-            }
-        },
-        StoreMode::Exchange => {
-            if let Some(r) = store.recover().map_err(|e| e.to_string())? {
-                if r.state.complete {
-                    eprintln!("store already holds a completed exchange");
-                    print_instance(&r.state.instance)?;
-                    return Ok(ExitCode::SUCCESS);
+            let instance = &r.state.instance;
+            emit(|w| write_instance(instance, w, Style::Pretty).and_then(|()| writeln!(w)))?;
+            Ok(ExitCode::SUCCESS)
+        }
+        (StoreMode::Chase, Some(r)) => {
+            eprintln!(
+                "recovered round {} ({} WAL record(s) replayed{}); resuming",
+                r.state.round,
+                r.replayed_records,
+                if r.wal_torn {
+                    ", torn tail discarded"
+                } else {
+                    ""
                 }
-            }
+            );
+            let outcome = pipeline::resume(&m, &mut store, r.state, &gov)?;
+            finish_chase(outcome, out, None, Some(dir))
+        }
+        (StoreMode::Chase, None) => {
+            eprintln!("no checkpoint on disk; starting the chase from the stored source");
+            let src = store.source().map_err(|e| e.to_string())?;
+            let outcome =
+                pipeline::chase(&m, &src, &gov, Some(&mut store)).map_err(|e| e.to_string())?;
+            finish_chase(outcome, out, None, Some(dir))
+        }
+        (StoreMode::Exchange, partial) => {
+            // The pipeline is not round-resumable: free the partial
+            // result before running it again.
+            drop(partial);
             eprintln!("re-running the lens pipeline from the stored source");
             let src = store.source().map_err(|e| e.to_string())?;
             let engine = build_engine(&m)?;
@@ -981,7 +900,7 @@ fn resume(dir: &Path, budget: Budget, out: &OutputOpts) -> Result<ExitCode, Stri
 /// iff the store is clean (after repair, when requested).
 fn fsck_cmd(dir: &Path, repair: bool) -> Result<ExitCode, String> {
     let report = fsck::fsck(dir).map_err(|e| e.to_string())?;
-    print_stdout(|w| write!(w, "{report}"))?;
+    emit(|w| writeln!(w, "{report}"))?;
     if report.is_clean() {
         return Ok(ExitCode::SUCCESS);
     }
@@ -990,7 +909,7 @@ fn fsck_cmd(dir: &Path, repair: bool) -> Result<ExitCode, String> {
             eprintln!("repair: {action}");
         }
         let after = fsck::fsck(dir).map_err(|e| e.to_string())?;
-        print_stdout(|w| write!(w, "{after}"))?;
+        emit(|w| writeln!(w, "{after}"))?;
         return Ok(if after.is_clean() {
             ExitCode::SUCCESS
         } else {
@@ -998,17 +917,6 @@ fn fsck_cmd(dir: &Path, repair: bool) -> Result<ExitCode, String> {
         });
     }
     Ok(ExitCode::FAILURE)
-}
-
-/// Remove a bare boolean `--flag` from `rest`, reporting presence.
-fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
-    match rest.iter().position(|a| a.as_str() == flag) {
-        Some(i) => {
-            rest.remove(i);
-            true
-        }
-        None => false,
-    }
 }
 
 /// `dexcli migrate <store-dir> <new-schema.dex> [--dry-run] [--resume]`:
@@ -1023,24 +931,19 @@ fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
 /// 0 committed, 1 usage/IO, 2 refused (ambiguous diff, non-FO
 /// composition, DEX502 admission, unfinished store), 3 budget tripped
 /// at a durable, resumable boundary, 70 internal panic.
-fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn migrate_cmd(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     let usage = "usage: dexcli migrate <store-dir> <new-schema.dex> [--dry-run] [--resume]\n\
                  \x20      [--deny-cost <n>] [--auto-budget] [budget flags]\n\
                  \x20      [--snapshot-every <n>] [--no-sync]";
-    let mut rest: Vec<&String> = args.iter().collect();
     let budget = extract_budget(&mut rest)?;
     let policy = extract_policy(&mut rest)?;
     let dry_run = take_flag(&mut rest, "--dry-run");
     let resume_flag = take_flag(&mut rest, "--resume");
-    let every = take_flag_value(&mut rest, "--snapshot-every")?;
-    let no_sync = take_flag(&mut rest, "--no-sync");
-    reject_unknown_flags(&rest)?;
-    let dir = Path::new(rest.first().ok_or(usage)?.as_str());
-    let mut opts = StoreOptions::default();
-    if let Some(n) = every {
-        opts.snapshot_every = parse_count(&n, "--snapshot-every")?.max(1);
-    }
-    opts.sync = !no_sync;
+    let (opts, _) = extract_store_options(&mut rest)?;
+    // `--resume` continues a staged migration, whose schema is on disk.
+    let arity = if resume_flag { 1..=1 } else { 2..=2 };
+    let p = positionals(&rest, arity, usage)?;
+    let dir = Path::new(p[0].as_str());
 
     if resume_flag {
         match store_migrate::status(dir).map_err(|e| e.to_string())? {
@@ -1069,7 +972,7 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
         return run_migration(mig, dir, policy.budget(budget));
     }
 
-    let schema_path = rest.get(1).ok_or(usage)?;
+    let schema_path = p[1];
     let schema_text = std::fs::read_to_string(schema_path)
         .map_err(|e| format!("cannot read {schema_path}: {e}"))?;
     // --dry-run also turns on the chase-agreement self-check: every
@@ -1083,20 +986,24 @@ fn migrate_cmd(args: &[String]) -> Result<ExitCode, String> {
     let migration = &plan.migration;
 
     if dry_run {
-        println!("schema diff ({} operation(s)):", migration.smos.len());
-        for s in &migration.smos {
-            println!("  {s}");
-        }
-        println!("\nmigration mapping:");
-        print!("{}", render_mapping_dex(&migration.mapping));
-        println!(
-            "\npredicted cost bounds at the stored instance: {}",
-            bounds_json(&plan.admitted.bounds)
-        );
-        if let Some(back) = migration.backward() {
-            println!("\nbackward (maximum recovery):");
-            println!("{back}");
-        }
+        emit(|w| {
+            writeln!(w, "schema diff ({} operation(s)):", migration.smos.len())?;
+            for s in &migration.smos {
+                writeln!(w, "  {s}")?;
+            }
+            writeln!(w, "\nmigration mapping:")?;
+            write!(w, "{}", render_mapping_dex(&migration.mapping))?;
+            writeln!(
+                w,
+                "\npredicted cost bounds at the stored instance: {}",
+                bounds_json(&plan.admitted.bounds)
+            )?;
+            if let Some(back) = migration.backward() {
+                writeln!(w, "\nbackward (maximum recovery):")?;
+                writeln!(w, "{back}")?;
+            }
+            Ok(())
+        })?;
         eprintln!("dry run: nothing written");
         return Ok(ExitCode::SUCCESS);
     }
@@ -1174,8 +1081,7 @@ fn run_migration(mut mig: Migration, dir: &Path, budget: Budget) -> Result<ExitC
 /// daemon in the foreground until SIGTERM/ctrl-c, then drain
 /// gracefully (stop accepting, finish in-flight work under
 /// `--drain-deadline`, cancel overruns into 206 partials).
-fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let mut rest: Vec<&String> = args.iter().collect();
+fn serve_cmd(mut rest: Vec<&String>) -> Result<ExitCode, String> {
     // The shared budget flags become the *server default* budget every
     // request starts from; request overrides can only tighten it.
     let default_budget = extract_budget(&mut rest)?;
@@ -1428,6 +1334,66 @@ fn take_flag_value(rest: &mut Vec<&String>, flag: &str) -> Result<Option<String>
     }
 }
 
+/// Remove a bare boolean `--flag` from `rest`, reporting presence.
+fn take_flag(rest: &mut Vec<&String>, flag: &str) -> bool {
+    match rest.iter().position(|a| a.as_str() == flag) {
+        Some(i) => {
+            rest.remove(i);
+            true
+        }
+        None => false,
+    }
+}
+
+/// Remove `--flag value` from `rest` if present, where the value must
+/// be one of `allowed`.
+fn take_flag_choice(
+    rest: &mut Vec<&String>,
+    flag: &str,
+    allowed: &[&'static str],
+) -> Result<Option<&'static str>, String> {
+    let Some(v) = take_flag_value(rest, flag)? else {
+        return Ok(None);
+    };
+    if let Some(a) = allowed.iter().find(|a| **a == v) {
+        return Ok(Some(a));
+    }
+    let quoted: Vec<String> = allowed.iter().map(|a| format!("`{a}`")).collect();
+    let choices = match quoted.split_last() {
+        Some((last, init)) if !init.is_empty() => format!("{} or {last}", init.join(", ")),
+        _ => quoted.concat(),
+    };
+    Err(format!("{flag} takes {choices}, got `{v}`"))
+}
+
+/// After flag extraction, anything left that still looks like a flag
+/// is unknown — reject it rather than silently treating it as a
+/// positional argument.
+fn reject_unknown_flags(rest: &[&String]) -> Result<(), String> {
+    match rest.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag `{flag}`")),
+        None => Ok(()),
+    }
+}
+
+/// What is left of a command's arguments once its flags are taken: the
+/// positionals, whose count must lie in `arity`. A leftover flag, too
+/// few positionals or a surplus one is a usage error.
+fn positionals<'r, 'a>(
+    rest: &'r [&'a String],
+    arity: RangeInclusive<usize>,
+    usage: &str,
+) -> Result<&'r [&'a String], String> {
+    reject_unknown_flags(rest)?;
+    if rest.len() < *arity.start() {
+        return Err(usage.into());
+    }
+    match rest.get(*arity.end()) {
+        Some(extra) => Err(format!("unexpected argument `{extra}`\n{usage}")),
+        None => Ok(rest),
+    }
+}
+
 /// Extract the shared budget flags (`--timeout`, `--max-rounds`,
 /// `--max-tuples`, `--max-nulls`, `--max-memory`) from an argument
 /// list, leaving the positional arguments behind. The flag set and the
@@ -1535,22 +1501,23 @@ fn build_engine(m: &Mapping) -> Result<Engine, String> {
     Engine::new(template, Environment::new()).map_err(|e| e.to_string())
 }
 
-fn check(m: &Mapping) {
-    println!("source schema:\n{}", m.source());
-    println!("target schema:\n{}", m.target());
-    println!("st-tgds: {}", m.st_tgds().len());
+fn check(m: &Mapping, w: &mut impl Write) -> io::Result<()> {
+    writeln!(w, "source schema:\n{}", m.source())?;
+    writeln!(w, "target schema:\n{}", m.target())?;
+    writeln!(w, "st-tgds: {}", m.st_tgds().len())?;
     for t in m.st_tgds() {
-        println!("  {t}");
+        writeln!(w, "  {t}")?;
     }
     if !m.target_egds().is_empty() {
-        println!("target egds: {}", m.target_egds().len());
+        writeln!(w, "target egds: {}", m.target_egds().len())?;
         for e in m.target_egds() {
-            println!("  {e}");
+            writeln!(w, "  {e}")?;
         }
     }
     if !m.target_tgds().is_empty() {
         let wa = dex::chase::is_weakly_acyclic(m.target_tgds());
-        println!(
+        writeln!(
+            w,
             "target tgds: {} (weakly acyclic: {})",
             m.target_tgds().len(),
             if wa {
@@ -1558,17 +1525,18 @@ fn check(m: &Mapping) {
             } else {
                 "NO — chase may diverge"
             }
-        );
+        )?;
     }
     match compile(m) {
         Ok(t) => {
-            println!("lens compilation: ok ({} holes)", t.holes.len());
-            print!("{}", t.report);
+            writeln!(w, "lens compilation: ok ({} holes)", t.holes.len())?;
+            write!(w, "{}", t.report)?;
             for h in &t.holes {
-                println!("  {h}");
+                writeln!(w, "  {h}")?;
             }
+            Ok(())
         }
-        Err(e) => println!("lens compilation: UNSUPPORTED\n{e}"),
+        Err(e) => writeln!(w, "lens compilation: UNSUPPORTED\n{e}"),
     }
 }
 
@@ -1592,35 +1560,15 @@ fn create_store(
         .map_err(|e| e.to_string())
 }
 
-/// Print `inst` to stdout in its pretty JSON form, with a newline.
-fn print_instance(inst: &Instance) -> Result<(), String> {
-    emit_instance(inst, std::io::stdout().lock(), "stdout")
-}
-
-/// Write `inst` and a newline to `stream` (a locked stdout or stderr),
-/// with no JSON tree in between.
-fn emit_instance(inst: &Instance, stream: impl Write, name: &str) -> Result<(), String> {
-    emit(stream, name, |w| write_instance(inst, w, Style::Pretty))
-}
-
-/// [`emit`] to stdout.
-fn print_stdout(
-    body: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+/// The one way out to stdout: `body` writes one block through a buffer,
+/// flushed before `emit` returns so that stderr lines written after it
+/// keep their order under `2>&1`. A closed or failing stdout is an
+/// error (exit 1), never a panic.
+fn emit(
+    body: impl FnOnce(&mut BufWriter<StdoutLock<'static>>) -> io::Result<()>,
 ) -> Result<(), String> {
-    emit(std::io::stdout().lock(), "stdout", body)
-}
-
-/// Write `body` and a newline to `stream` (a locked stdout or stderr)
-/// through a buffer. A closed or failing stream is an error (exit 1),
-/// not a panic.
-fn emit<S: Write>(
-    stream: S,
-    name: &str,
-    body: impl FnOnce(&mut BufWriter<S>) -> std::io::Result<()>,
-) -> Result<(), String> {
-    let mut w = BufWriter::new(stream);
+    let mut w = BufWriter::new(io::stdout().lock());
     body(&mut w)
-        .and_then(|()| w.write_all(b"\n"))
         .and_then(|()| w.flush())
-        .map_err(|e| format!("writing {name}: {e}"))
+        .map_err(|e| format!("writing stdout: {e}"))
 }

@@ -172,27 +172,66 @@ fn max_rounds_above_the_default_ceiling_is_honoured() {
     );
 }
 
-/// `query` rejects flags it does not know, like every other command,
-/// instead of silently ignoring them. `--threads` is one of them: the
-/// chase matches on one thread and has no thread count to set.
+/// Every command takes its flags and positionals the same way: a flag
+/// it does not know and a positional beyond its arity are both usage
+/// errors (exit 1) that write nothing to stdout. `--threads` is refused
+/// too: the chase matches on one thread and has no thread count to set.
 #[test]
-fn query_rejects_unknown_flags() {
-    for extra in [
-        &["--bogus-flag"][..],
-        &["--stats", "--format", "json"],
-        &["--threads", "2"],
-    ] {
-        let out = dexcli()
-            .arg("query")
-            .arg(repo_file("examples/mappings/employees.dex"))
-            .arg(repo_file("examples/instances/employees_small.json"))
-            .arg("q(x) :- Worker(x, d, m)")
-            .args(extra)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+fn every_command_rejects_unknown_flags_and_surplus_positionals() {
+    let tmp = TempDir::new("grammar");
+    let m = repo_file("examples/mappings/employees.dex");
+    let src = repo_file("examples/instances/employees_small.json");
+    let (m, src) = (m.to_str().unwrap(), src.to_str().unwrap());
+    let store = tmp.join("store");
+    let store = store.to_str().unwrap();
+    let made = dexcli()
+        .args(["chase", m, src, "--no-sync", "--store", store])
+        .output()
+        .unwrap();
+    assert_eq!(made.status.code(), Some(0));
+    let q = "q(x) :- Worker(x, d, m)";
+    // Each command with valid arguments; `None` where every positional
+    // count is accepted, so no argument is surplus.
+    let commands: &[(&[&str], Option<&str>)] = &[
+        (&["help"], Some("x")),
+        (&["plan", m], Some("x")),
+        (&["check", m], Some("x")),
+        (&["lint", m], None),
+        (&["lint", "--explain", "DEX201"], Some(m)),
+        (&["explain", m], Some("x")),
+        (&["optimize", m], Some("x")),
+        (&["eq", m, m], Some("x")),
+        (&["chase", m, src], Some("out.json")),
+        (&["exchange", m, src, src], Some("x")),
+        (&["backward", m, src, src], Some("x")),
+        (&["compose", m, m], Some("x")),
+        (&["recover", m], Some("x")),
+        (&["query", m, src, q], Some("x")),
+        (&["resume", store], Some("x")),
+        (&["fsck", store], Some("x")),
+        (&["migrate", store, m, "--dry-run"], Some("x")),
+        (&["migrate", store, "--resume"], Some(m)),
+        (&["serve", "--map", "e=m.dex"], None),
+    ];
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for (args, surplus) in commands {
+        for bad in [&["--bogus-flag"][..], &["--threads", "2"]] {
+            cases.push([*args, bad].concat());
+        }
+        if let Some(extra) = surplus {
+            cases.push([*args, &[*extra]].concat());
+        }
+    }
+    cases.push(vec!["query", m, src, q, "--stats", "--format", "json"]);
+    for args in cases {
+        let out = dexcli().args(&args).output().unwrap();
         let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains("unknown flag"), "{extra:?}: {err}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(
+            err.contains("unknown flag") || err.contains("unexpected argument"),
+            "{args:?}: {err}"
+        );
     }
 }
 
@@ -291,7 +330,7 @@ fn closed_stdout_is_an_error_not_a_panic() {
 
 /// Run `dexcli args` with stdout on a pipe whose read end is closed
 /// before the child starts, so its first write to stdout fails.
-fn run_with_closed_stdout(args: &[&std::ffi::OsStr]) -> (Option<i32>, String) {
+fn run_with_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
     let (reader, writer) = std::io::pipe().unwrap();
     drop(reader);
     let out = dexcli()
@@ -303,8 +342,8 @@ fn run_with_closed_stdout(args: &[&std::ffi::OsStr]) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8(out.stderr).unwrap())
 }
 
-/// `dexcli query` writes its answers through the same fallible writer
-/// as the instance commands: a closed stdout is exit 1, not a panic.
+/// `query` with stdout closed before its first write exits 1 with
+/// `error: writing stdout`, not a panic.
 #[test]
 fn query_on_a_closed_stdout_is_an_error_not_a_panic() {
     let tmp = TempDir::new("closed-stdout-query");
@@ -314,16 +353,17 @@ fn query_on_a_closed_stdout_is_an_error_not_a_panic() {
     );
     let src = tmp.write("q.json", br#"{"Emp": [["a"], ["b"]]}"#);
     let (code, err) = run_with_closed_stdout(&[
-        "query".as_ref(),
-        m.as_os_str(),
-        src.as_os_str(),
-        "q(x) :- Manager(x, m)".as_ref(),
+        "query",
+        m.to_str().unwrap(),
+        src.to_str().unwrap(),
+        "q(x) :- Manager(x, m)",
     ]);
     assert_eq!(code, Some(1), "stderr: {err}");
     assert!(err.contains("error: writing stdout"), "stderr: {err}");
 }
 
-/// `dexcli fsck`'s report goes through the same writer.
+/// `fsck` with stdout closed before its first write exits 1 with
+/// `error: writing stdout`, not a panic.
 #[test]
 fn fsck_on_a_closed_stdout_is_an_error_not_a_panic() {
     let tmp = TempDir::new("closed-stdout-fsck");
@@ -343,9 +383,89 @@ fn fsck_on_a_closed_stdout_is_an_error_not_a_panic() {
         .output()
         .unwrap();
     assert_eq!(made.status.code(), Some(0));
-    let (code, err) = run_with_closed_stdout(&["fsck".as_ref(), store.as_os_str()]);
+    let (code, err) = run_with_closed_stdout(&["fsck", store.to_str().unwrap()]);
     assert_eq!(code, Some(1), "stderr: {err}");
     assert!(err.contains("error: writing stdout"), "stderr: {err}");
+}
+
+/// Every command that writes to stdout writes through one fallible
+/// sink: with stdout closed before the first write, each exits 1 with
+/// `error: writing stdout`, never a panic (exit 70).
+#[test]
+fn every_command_on_a_closed_stdout_is_an_error_not_a_panic() {
+    let tmp = TempDir::new("closed-stdout-all");
+    let f = |name: &str| repo_file(&format!("examples/mappings/{name}.dex"));
+    let m = f("employees");
+    let src = repo_file("examples/instances/employees_small.json");
+    let tgt = tmp.write("t.json", br#"{"Worker": [["alice", "eng", "dan"]]}"#);
+    let m1 = tmp.write(
+        "m1.dex",
+        b"source Emp(name);\ntarget Manager(emp, mgr);\nEmp(x) -> Manager(x, y);\n",
+    );
+    let m2 = tmp.write(
+        "m2.dex",
+        b"source Manager(emp, mgr);\ntarget Boss(emp, mgr);\nManager(x, y) -> Boss(x, y);\n",
+    );
+    let schema = tmp.write(
+        "v2.dex",
+        b"target Worker(name, dept, mgr, zip);\nkey Worker(name);\n",
+    );
+    let store = tmp.join("store");
+    let made = dexcli()
+        .arg("chase")
+        .arg(&m)
+        .arg(&src)
+        .arg("--store")
+        .arg(&store)
+        .args(["--no-sync"])
+        .output()
+        .unwrap();
+    assert_eq!(made.status.code(), Some(0));
+    let p = |path: &std::path::Path| path.to_str().unwrap().to_string();
+    let [m, src, tgt, m1, m2, schema, store, unused, subsumed, eq_a, eq_b, eq_c] = [
+        &m,
+        &src,
+        &tgt,
+        &m1,
+        &m2,
+        &schema,
+        &store,
+        &f("bad_unused"),
+        &f("redundant_subsumed"),
+        &f("eq_a"),
+        &f("eq_b"),
+        &f("eq_c"),
+    ]
+    .map(|path| p(path));
+    let (m, src, store) = (m.as_str(), src.as_str(), store.as_str());
+    let rows: &[&[&str]] = &[
+        &["help"],
+        &["plan", m],
+        &["check", m],
+        &["recover", m],
+        &["backward", m, &tgt, src],
+        &["compose", &m1, &m2],
+        &["lint", &unused],
+        &["lint", "--format", "json", m],
+        &["lint", "--explain", "DEX201"],
+        &["explain", m],
+        &["explain", m, "--format", "json"],
+        &["explain", m, "--format", "dot"],
+        &["optimize", &subsumed],
+        &["eq", &eq_a, &eq_c],
+        &["eq", &eq_a, &eq_b, "--format", "json"],
+        &["chase", m, src],
+        &["exchange", m, src],
+        &["query", m, src, "q(x) :- Worker(x, d, mg)"],
+        &["resume", store],
+        &["fsck", store],
+        &["migrate", store, &schema, "--dry-run"],
+    ];
+    for args in rows {
+        let (code, err) = run_with_closed_stdout(args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(err.contains("error: writing stdout"), "{args:?}: {err}");
+    }
 }
 
 /// `--stats --format json` emits one machine-readable JSON object on
